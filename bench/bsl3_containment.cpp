@@ -68,8 +68,8 @@ int main() {
     sim::Machine m;
     Bsl3Scenario sc(m, {}, policy);
     int denials = 0, deliveries = 0;
-    sc.arm_mgmt_attack(sim::minutes(10), [&](Bsl3Scenario& s) {
-      attack(s, &denials, &deliveries);
+    sc.arm_attack(sim::minutes(10), [&](bas::Scenario& s) {
+      attack(static_cast<Bsl3Scenario&>(s), &denials, &deliveries);
     });
     m.run_until(sim::minutes(25));
     const auto safety = Bsl3Scenario::check_safety(

@@ -1,10 +1,6 @@
 #include "bas/bsl3_scenario.hpp"
 
 #include <sstream>
-#include <stdexcept>
-
-#include "aadl/compile.hpp"
-#include "aadl/parser.hpp"
 
 namespace mkbas::bas {
 
@@ -119,15 +115,8 @@ minix::AcmPolicy make_policy(Bsl3Policy mode) {
     }
     return acm;
   }
-  aadl::Parser parser(bsl3_aadl());
-  const aadl::Model model = parser.parse();
-  std::vector<aadl::Diagnostic> diags;
-  auto sys = aadl::compile(model, "Bsl3.impl", diags);
-  if (!sys.has_value()) {
-    throw std::runtime_error("bsl3 model failed to compile: " +
-                             (diags.empty() ? "?" : diags[0].message));
-  }
-  minix::AcmPolicy acm = aadl::generate_acm(*sys);
+  minix::AcmPolicy acm =
+      aadl::generate_acm(compile_model(bsl3_aadl(), "Bsl3.impl"));
   acm.allow(Bsl3Scenario::kLoaderAcId, MinixKernel::kPmAcId,
             {aadl::kAckMType, minix::PmProtocol::kFork,
              minix::PmProtocol::kExit});
@@ -140,9 +129,7 @@ minix::AcmPolicy make_policy(Bsl3Policy mode) {
 
 Bsl3Scenario::Bsl3Scenario(sim::Machine& machine, Bsl3Config cfg,
                            Bsl3Policy policy)
-    : machine_(machine), cfg_(cfg), model_(cfg.model) {
-  coupler_ = std::make_unique<devices::ContainmentCoupler>(
-      machine_, model_, fan_, inner_, outer_, &alarm_on_);
+    : Bsl3Lab(machine, cfg) {
   kernel_ = std::make_unique<MinixKernel>(machine_, make_policy(policy));
   kernel_->srv_fork2("bsl3-scenario", kLoaderAcId, [this] { loader_proc(); },
                      /*priority=*/3);
@@ -198,12 +185,7 @@ void Bsl3Scenario::control_proc() {
   Endpoint door_ep = k.wait_lookup("doorCtlProc");
   Endpoint alarm_ep = k.wait_lookup("alarmProc");
   const Endpoint sensor_ep = k.wait_lookup("presSensProc");
-
-  double fan_speed = 0.6;
-  bool alarm = false;
-  sim::Time breach_since = -1;
-  sim::Time inner_open_until = -1, outer_open_until = -1;
-  double last_lab = 0.0, last_ante = 0.0;
+  ContainmentLogic law(cfg_);
 
   auto send_cmd = [&](Endpoint& ep, const char* name, auto fill) {
     Message m;
@@ -231,51 +213,22 @@ void Bsl3Scenario::control_proc() {
     switch (m.m_type) {
       case MTypes::kData: {
         if (m.source() != sensor_ep) break;  // defence in depth
-        last_lab = m.get_f64(0);
-        last_ante = m.get_f64(8);
-        // Incremental fan law toward the target pressure.
-        const double err = last_lab - cfg_.target_lab_pa;
-        if (err > 1.0) {
-          fan_speed = std::min(1.0, fan_speed + 0.05);
-        } else if (err < -1.0) {
-          fan_speed = std::max(0.3, fan_speed - 0.05);
-        }
+        const auto d = law.on_sample(m.get_f64(0), m.get_f64(8), now);
         send_cmd(fan_ep, "exhaustFanProc",
-                 [&](Message& c) { c.put_f64(0, fan_speed); });
-        // Critical alarm on sustained breach.
-        if (last_lab > cfg_.breach_threshold_pa) {
-          if (breach_since < 0) breach_since = now;
-          if (now - breach_since >= cfg_.alarm_delay) alarm = true;
-        } else {
-          breach_since = -1;
-          if (last_lab < cfg_.breach_threshold_pa - 2.0) alarm = false;
-        }
+                 [&](Message& c) { c.put_f64(0, d.fan_speed); });
         send_cmd(alarm_ep, "alarmProc",
-                 [&](Message& c) { c.put_i32(0, alarm ? 1 : 0); });
-        // Door auto-close deadlines.
-        if (inner_open_until >= 0 && now >= inner_open_until) {
-          command_door(0, false);
-          inner_open_until = -1;
-        }
-        if (outer_open_until >= 0 && now >= outer_open_until) {
-          command_door(1, false);
-          outer_open_until = -1;
-        }
+                 [&](Message& c) { c.put_i32(0, d.alarm_on ? 1 : 0); });
+        if (d.close_inner) command_door(0, false);
+        if (d.close_outer) command_door(1, false);
         machine_.trace().emit(now, -1, sim::TraceKind::kControl,
-                              "bsl3.sample", "", last_lab);
+                              "bsl3.sample", "", law.last_lab_pa());
         break;
       }
       case MTypes::kDoorReq: {
         const int door = m.get_i32(0);  // 0 inner, 1 outer
-        // Interlock: grant only while the other door is shut.
-        const bool other_busy =
-            door == 0 ? outer_open_until >= 0 : inner_open_until >= 0;
-        const bool granted = !other_busy && (door == 0 || door == 1);
-        if (granted) {
-          command_door(door, true);
-          (door == 0 ? inner_open_until : outer_open_until) =
-              now + cfg_.door_open_time;
-        }
+        // MINIX commands the door before answering the request.
+        const bool granted = law.request_door(door, now);
+        if (granted) command_door(door, true);
         machine_.trace().emit(now, -1, sim::TraceKind::kControl,
                               granted ? "bsl3.door_granted"
                                       : "bsl3.door_denied",
@@ -289,10 +242,10 @@ void Bsl3Scenario::control_proc() {
       case MTypes::kEnvQuery: {
         Message reply;
         reply.m_type = MTypes::kAck;
-        reply.put_f64(0, last_lab);
-        reply.put_f64(8, last_ante);
-        reply.put_f64(16, fan_speed);
-        reply.put_i32(24, alarm ? 1 : 0);
+        reply.put_f64(0, law.last_lab_pa());
+        reply.put_f64(8, law.last_ante_pa());
+        reply.put_f64(16, law.fan_speed());
+        reply.put_i32(24, law.alarm_on() ? 1 : 0);
         k.ipc_senda(m.source(), reply);
         break;
       }
@@ -333,67 +286,44 @@ void Bsl3Scenario::alarm_proc() {
   }
 }
 
-void Bsl3Scenario::mgmt_proc() {
-  auto& k = *kernel_;
-  Endpoint ctl = k.wait_lookup("contCtlProc");
-  bool attacked = false;
-  for (;;) {
+namespace {
+
+struct MgmtLink {
+  MinixKernel& k;
+  Endpoint ctl;
+
+  void refresh() {
     if (!k.is_live(ctl)) {
       const Endpoint fresh = k.lookup("contCtlProc");
       if (fresh.valid()) ctl = fresh;
     }
-    if (attack_hook_ && !attacked && attack_time_ >= 0 &&
-        machine_.now() >= attack_time_) {
-      attacked = true;
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kAttack,
-                            "mgmt.compromised", "bsl3");
-      attack_hook_(*this);
-    }
-    while (auto id = http_.poll()) {
-      const net::HttpRequest& req = http_.request(*id);
-      if (req.method == "GET" && req.path == "/status") {
-        Message m;
-        m.m_type = MTypes::kEnvQuery;
-        if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) {
-          http_.respond(*id, machine_.now(), {503, "control unavailable"});
-          continue;
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof buf,
-                      "lab=%.1fPa;ante=%.1fPa;fan=%.2f;alarm=%s",
-                      m.get_f64(0), m.get_f64(8), m.get_f64(16),
-                      m.get_i32(24) != 0 ? "on" : "off");
-        http_.respond(*id, machine_.now(), {200, buf});
-      } else if (req.method == "POST" && req.path == "/door") {
-        const int door = req.body == "door=inner" ? 0
-                         : req.body == "door=outer" ? 1
-                                                    : -1;
-        if (door < 0) {
-          http_.respond(*id, machine_.now(), {400, "bad door"});
-          continue;
-        }
-        Message m;
-        m.m_type = MTypes::kDoorReq;
-        m.put_i32(0, door);
-        if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) {
-          http_.respond(*id, machine_.now(), {503, "control unavailable"});
-          continue;
-        }
-        http_.respond(*id, machine_.now(),
-                      m.get_i32(0) != 0
-                          ? net::HttpResponse{200, "door released"}
-                          : net::HttpResponse{409, "interlock engaged"});
-      } else {
-        http_.respond(*id, machine_.now(), {404, "not found"});
-      }
-    }
-    machine_.sleep_for(sim::msec(100));
   }
+  bool query_status(Bsl3Lab::Status* st) {
+    Message m;
+    m.m_type = Bsl3Scenario::MTypes::kEnvQuery;
+    if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) return false;
+    *st = {m.get_f64(0), m.get_f64(8), m.get_f64(16), m.get_i32(24) != 0};
+    return true;
+  }
+  std::optional<bool> request_door(int door) {
+    Message m;
+    m.m_type = Bsl3Scenario::MTypes::kDoorReq;
+    m.put_i32(0, door);
+    if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) return std::nullopt;
+    return m.get_i32(0) != 0;
+  }
+};
+
+}  // namespace
+
+void Bsl3Scenario::mgmt_proc() {
+  MgmtLink link{*kernel_, kernel_->wait_lookup("contCtlProc")};
+  run_mgmt(link, "bsl3");
 }
 
 // ---- safety analysis ----
 
-Bsl3Safety Bsl3Scenario::check_safety(
+Bsl3Safety Bsl3Lab::check_safety(
     const std::vector<devices::ContainmentSample>& history,
     const sim::TraceLog& trace, const Bsl3Config& cfg, sim::Time run_end) {
   Bsl3Safety r;

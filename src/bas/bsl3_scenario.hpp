@@ -1,18 +1,15 @@
 #pragma once
 
-#include <functional>
+#include <cstdio>
 #include <memory>
+#include <optional>
 
-#include "bas/scenario.hpp"
+#include "bas/scenario_base.hpp"
 #include "devices/containment.hpp"
 #include "minix/kernel.hpp"
-#include "net/http.hpp"
 #include "physics/pressure.hpp"
 
 namespace mkbas::bas {
-
-// Bsl3Config and Bsl3Policy live in bas/scenario.hpp (part of the shared
-// ScenarioConfig the registry builds every variant from).
 
 /// The suite's mini-AADL model (shared by the MINIX and seL4 builds).
 const char* bsl3_aadl();
@@ -36,14 +33,13 @@ struct Bsl3Safety {
   std::string summary() const;
 };
 
-/// The BSL-3 suite scenario on security-enhanced MINIX 3: the richer
-/// sibling of the temperature scenario, extracted from the same
-/// Biosecurity Research Institute case study the paper's Fig. 1 points at
-/// ("Biosafety Level 3 Lab"). Six processes:
+/// The BSL-3 suite: the richer sibling of the temperature scenario,
+/// extracted from the same Biosecurity Research Institute case study the
+/// paper's Fig. 1 points at ("Biosafety Level 3 Lab"). Six processes:
 ///
 ///   presSensProc  — differential pressure transmitters (lab + anteroom)
 ///   contCtlProc   — containment controller: fan speed law, door
-///                   interlock, critical alarm
+///                   interlock, critical alarm (ContainmentLogic)
 ///   exhaustFanProc, doorCtlProc, alarmProc — actuator drivers
 ///   mgmtProc      — untrusted management interface (HTTP console):
 ///                   status queries and door-open requests only
@@ -51,7 +47,97 @@ struct Bsl3Safety {
 /// Safety obligations: the lab stays below the breach line (transient
 /// door openings aside), the two doors are never open together, and a
 /// sustained breach raises the critical alarm.
-class Bsl3Scenario : public Scenario {
+///
+/// This base holds what the MINIX and seL4 builds share: the lab's
+/// devices, the management console and the safety judge.
+class Bsl3Lab : public ScenarioBase {
+ public:
+  physics::ContainmentModel& model() { return model_; }
+  devices::ExhaustFan& fan() { return fan_; }
+  devices::DoorLatch& inner_door() { return inner_; }
+  devices::DoorLatch& outer_door() { return outer_; }
+  const std::vector<devices::ContainmentSample>& history() const {
+    return coupler_->history();
+  }
+  const Bsl3Config& config() const { return cfg_; }
+
+  /// Judge a finished run.
+  static Bsl3Safety check_safety(
+      const std::vector<devices::ContainmentSample>& history,
+      const sim::TraceLog& trace, const Bsl3Config& cfg, sim::Time run_end);
+
+  /// The controller's answer to a status query.
+  struct Status {
+    double lab_pa = 0.0;
+    double ante_pa = 0.0;
+    double fan_speed = 0.0;
+    bool alarm_on = false;
+  };
+
+ protected:
+  Bsl3Lab(sim::Machine& machine, const Bsl3Config& cfg)
+      : ScenarioBase(machine), cfg_(cfg), model_(cfg.model) {
+    coupler_ = std::make_unique<devices::ContainmentCoupler>(
+        machine_, model_, fan_, inner_, outer_, &alarm_on_);
+  }
+
+  /// The management console loop. Its link provides refresh() (re-resolve
+  /// the controller), query_status(&status) -> bool and
+  /// request_door(door) -> optional<bool> (nullopt: controller
+  /// unreachable), like the temperature program's web link.
+  template <class Link>
+  void run_mgmt(Link& link, const char* detail, camkes::Runtime* rt = nullptr);
+
+  Bsl3Config cfg_;
+  physics::ContainmentModel model_;
+  devices::ExhaustFan fan_;
+  devices::DoorLatch inner_{"inner"};
+  devices::DoorLatch outer_{"outer"};
+  bool alarm_on_ = false;
+  std::unique_ptr<devices::ContainmentCoupler> coupler_;
+};
+
+template <class Link>
+void Bsl3Lab::run_mgmt(Link& link, const char* detail, camkes::Runtime* rt) {
+  bool attacked = false;
+  for (;;) {
+    link.refresh();
+    poll_attack(&attacked, "mgmt.compromised", detail, rt);
+    while (auto id = http_.poll()) {
+      const net::HttpRequest& req = http_.request(*id);
+      const net::HttpResponse unavailable{503, "control unavailable"};
+      net::HttpResponse resp{404, "not found"};
+      if (req.method == "GET" && req.path == "/status") {
+        Status st;
+        if (link.query_status(&st)) {
+          char buf[128];
+          std::snprintf(buf, sizeof buf,
+                        "lab=%.1fPa;ante=%.1fPa;fan=%.2f;alarm=%s", st.lab_pa,
+                        st.ante_pa, st.fan_speed, st.alarm_on ? "on" : "off");
+          resp = {200, buf};
+        } else {
+          resp = unavailable;
+        }
+      } else if (req.method == "POST" && req.path == "/door") {
+        const int door = req.body == "door=inner" ? 0
+                         : req.body == "door=outer" ? 1
+                                                    : -1;
+        const std::optional<bool> granted =
+            door < 0 ? std::optional<bool>() : link.request_door(door);
+        resp = door < 0   ? net::HttpResponse{400, "bad door"}
+               : !granted ? unavailable
+               : *granted ? net::HttpResponse{200, "door released"}
+                          : net::HttpResponse{409, "interlock engaged"};
+      }
+      http_.respond(*id, machine_.now(), std::move(resp));
+    }
+    machine_.sleep_for(sim::msec(100));
+  }
+}
+
+/// The BSL-3 suite on security-enhanced MINIX 3, with its ACM generated
+/// from bsl3_aadl() (or a permissive matrix, for the ablation).
+class Bsl3Scenario : public Bsl3Lab {
  public:
   struct AcIds {
     static constexpr int kSensor = 110;
@@ -71,47 +157,15 @@ class Bsl3Scenario : public Scenario {
 
   explicit Bsl3Scenario(sim::Machine& machine, Bsl3Config cfg = {},
                         Bsl3Policy policy = Bsl3Policy::kAcmEnforced);
-  ~Bsl3Scenario() override { machine_.shutdown(); }
-
-  Bsl3Scenario(const Bsl3Scenario&) = delete;
-  Bsl3Scenario& operator=(const Bsl3Scenario&) = delete;
-
-  /// Compromise the management interface at `when` (same contract as the
-  /// temperature scenario's web attack).
-  void arm_mgmt_attack(sim::Time when,
-                       std::function<void(Bsl3Scenario&)> hook) {
-    attack_time_ = when;
-    attack_hook_ = std::move(hook);
-  }
-
   Platform platform() const override { return Platform::kMinix; }
   const char* variant() const override { return "bsl3"; }
-  void arm_attack(sim::Time when, AttackHook hook) override {
-    arm_mgmt_attack(when, [hook = std::move(hook)](Bsl3Scenario& sc) {
-      hook(sc);
-    });
-  }
   int restarts() const override { return kernel_->restarts(); }
 
+  /// Armed attack hooks run inside the management process.
   minix::MinixKernel& kernel() { return *kernel_; }
-  sim::Machine& machine() override { return machine_; }
-  net::HttpConsole& http() override { return http_; }
-  physics::ContainmentModel& model() { return model_; }
-  devices::ExhaustFan& fan() { return fan_; }
-  devices::DoorLatch& inner_door() { return inner_; }
-  devices::DoorLatch& outer_door() { return outer_; }
-  const std::vector<devices::ContainmentSample>& history() const {
-    return coupler_->history();
-  }
   minix::Endpoint endpoint_of(const std::string& name) const {
     return kernel_->lookup(name);
   }
-  const Bsl3Config& config() const { return cfg_; }
-
-  /// Judge a finished run.
-  static Bsl3Safety check_safety(
-      const std::vector<devices::ContainmentSample>& history,
-      const sim::TraceLog& trace, const Bsl3Config& cfg, sim::Time run_end);
 
  private:
   void loader_proc();
@@ -122,18 +176,7 @@ class Bsl3Scenario : public Scenario {
   void alarm_proc();
   void mgmt_proc();
 
-  sim::Machine& machine_;
-  Bsl3Config cfg_;
-  physics::ContainmentModel model_;
-  devices::ExhaustFan fan_;
-  devices::DoorLatch inner_{"inner"};
-  devices::DoorLatch outer_{"outer"};
-  bool alarm_on_ = false;
-  std::unique_ptr<devices::ContainmentCoupler> coupler_;
-  std::unique_ptr<minix::MinixKernel> kernel_;
-  net::HttpConsole http_;
-  sim::Time attack_time_ = -1;
-  std::function<void(Bsl3Scenario&)> attack_hook_;
+  std::unique_ptr<minix::MinixKernel> kernel_;  // last: see ScenarioBase
 };
 
 }  // namespace mkbas::bas

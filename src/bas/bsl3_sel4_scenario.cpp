@@ -1,9 +1,6 @@
 #include "bas/bsl3_sel4_scenario.hpp"
 
-#include <cstdio>
-#include <stdexcept>
-
-#include "aadl/parser.hpp"
+#include <optional>
 
 namespace mkbas::bas {
 
@@ -11,26 +8,8 @@ using camkes::Runtime;
 using sel4::Sel4Error;
 using sel4::Sel4Msg;
 
-namespace {
-
-aadl::CompiledSystem compile_bsl3() {
-  aadl::Parser parser(bsl3_aadl());
-  const aadl::Model model = parser.parse();
-  std::vector<aadl::Diagnostic> diags;
-  auto sys = aadl::compile(model, "Bsl3.impl", diags);
-  if (!sys.has_value()) {
-    throw std::runtime_error("bsl3 model failed to compile: " +
-                             (diags.empty() ? "?" : diags[0].message));
-  }
-  return *sys;
-}
-
-}  // namespace
-
 Bsl3Sel4Scenario::Bsl3Sel4Scenario(sim::Machine& machine, Bsl3Config cfg)
-    : machine_(machine), cfg_(cfg), model_(cfg.model) {
-  coupler_ = std::make_unique<devices::ContainmentCoupler>(
-      machine_, model_, fan_, inner_, outer_, &alarm_on_);
+    : Bsl3Lab(machine, cfg) {
   camkes_ = std::make_unique<camkes::CamkesSystem>(machine_);
 
   std::map<std::string, std::function<void(Runtime&)>> bodies;
@@ -44,7 +23,8 @@ Bsl3Sel4Scenario::Bsl3Sel4Scenario(sim::Machine& machine, Bsl3Config cfg)
       {"presSensProc", 5}, {"contCtlProc", 6}, {"exhaustFanProc", 5},
       {"doorCtlProc", 5},  {"alarmProc", 5},   {"mgmtProc", 8},
   };
-  camkes_->load_compiled_system(compile_bsl3(), bodies, priorities);
+  camkes_->load_compiled_system(compile_model(bsl3_aadl(), "Bsl3.impl"),
+                                bodies, priorities);
   camkes_->instantiate();
 }
 
@@ -63,12 +43,7 @@ void Bsl3Sel4Scenario::sensor_body(Runtime& rt) {
 }
 
 void Bsl3Sel4Scenario::control_body(Runtime& rt) {
-  double fan_speed = 0.6;
-  bool alarm = false;
-  sim::Time breach_since = -1;
-  sim::Time inner_open_until = -1, outer_open_until = -1;
-  double last_lab = 0.0, last_ante = 0.0;
-
+  ContainmentLogic law(cfg_);
   auto command_door = [&](int door, bool open) {
     Sel4Msg cmd;
     cmd.push(static_cast<std::uint64_t>(door));
@@ -81,61 +56,36 @@ void Bsl3Sel4Scenario::control_body(Runtime& rt) {
     if (in.status != Sel4Error::kOk) continue;
     const sim::Time now = machine_.now();
     if (in.iface == "presIn") {
-      last_lab = in.msg.mr_f64(0);
-      last_ante = in.msg.mr_f64(1);
+      const auto d = law.on_sample(in.msg.mr_f64(0), in.msg.mr_f64(1), now);
       rt.reply(Sel4Msg{});  // release the sensor before actuating
-      const double err = last_lab - cfg_.target_lab_pa;
-      if (err > 1.0) {
-        fan_speed = std::min(1.0, fan_speed + 0.05);
-      } else if (err < -1.0) {
-        fan_speed = std::max(0.3, fan_speed - 0.05);
-      }
       Sel4Msg fan_cmd;
-      fan_cmd.push_f64(fan_speed);
+      fan_cmd.push_f64(d.fan_speed);
       rt.rpc_call("fanCmd", fan_cmd);
-      if (last_lab > cfg_.breach_threshold_pa) {
-        if (breach_since < 0) breach_since = now;
-        if (now - breach_since >= cfg_.alarm_delay) alarm = true;
-      } else {
-        breach_since = -1;
-        if (last_lab < cfg_.breach_threshold_pa - 2.0) alarm = false;
-      }
       Sel4Msg alarm_cmd;
-      alarm_cmd.push(alarm ? 1 : 0);
+      alarm_cmd.push(d.alarm_on ? 1 : 0);
       rt.rpc_call("alarmCmd", alarm_cmd);
-      if (inner_open_until >= 0 && now >= inner_open_until) {
-        command_door(0, false);
-        inner_open_until = -1;
-      }
-      if (outer_open_until >= 0 && now >= outer_open_until) {
-        command_door(1, false);
-        outer_open_until = -1;
-      }
+      if (d.close_inner) command_door(0, false);
+      if (d.close_outer) command_door(1, false);
       machine_.trace().emit(now, -1, sim::TraceKind::kControl,
-                            "bsl3.sample", "", last_lab);
+                            "bsl3.sample", "", law.last_lab_pa());
     } else if (in.iface == "doorReqIn") {
       const int door = static_cast<int>(in.msg.mr(0));
-      const bool other_busy =
-          door == 0 ? outer_open_until >= 0 : inner_open_until >= 0;
-      const bool granted = !other_busy && (door == 0 || door == 1);
+      const bool granted = law.request_door(door, now);
       machine_.trace().emit(now, -1, sim::TraceKind::kControl,
                             granted ? "bsl3.door_granted"
                                     : "bsl3.door_denied",
                             door == 0 ? "inner" : "outer");
+      // The RPC caller is answered before the door moves.
       Sel4Msg reply;
       reply.push(granted ? 1 : 0);
       rt.reply(reply);
-      if (granted) {
-        command_door(door, true);
-        (door == 0 ? inner_open_until : outer_open_until) =
-            now + cfg_.door_open_time;
-      }
+      if (granted) command_door(door, true);
     } else if (in.iface == "envIn") {
       Sel4Msg reply;
-      reply.push_f64(last_lab);
-      reply.push_f64(last_ante);
-      reply.push_f64(fan_speed);
-      reply.push(alarm ? 1 : 0);
+      reply.push_f64(law.last_lab_pa());
+      reply.push_f64(law.last_ante_pa());
+      reply.push_f64(law.fan_speed());
+      reply.push(law.alarm_on() ? 1 : 0);
       rt.reply(reply);
     } else {
       rt.reply(Sel4Msg{});
@@ -171,54 +121,31 @@ void Bsl3Sel4Scenario::alarm_body(Runtime& rt) {
   }
 }
 
-void Bsl3Sel4Scenario::mgmt_body(Runtime& rt) {
-  bool attacked = false;
-  for (;;) {
-    if (attack_hook_ && !attacked && attack_time_ >= 0 &&
-        machine_.now() >= attack_time_) {
-      attacked = true;
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kAttack,
-                            "mgmt.compromised", "bsl3-sel4");
-      attack_hook_(*this, rt);
-    }
-    while (auto id = http_.poll()) {
-      const net::HttpRequest& req = http_.request(*id);
-      if (req.method == "GET" && req.path == "/status") {
-        Sel4Msg msg;
-        if (rt.rpc_call("envQuery", msg) != Sel4Error::kOk) {
-          http_.respond(*id, machine_.now(), {503, "control unavailable"});
-          continue;
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof buf,
-                      "lab=%.1fPa;ante=%.1fPa;fan=%.2f;alarm=%s",
-                      msg.mr_f64(0), msg.mr_f64(1), msg.mr_f64(2),
-                      msg.mr(3) != 0 ? "on" : "off");
-        http_.respond(*id, machine_.now(), {200, buf});
-      } else if (req.method == "POST" && req.path == "/door") {
-        const int door = req.body == "door=inner" ? 0
-                         : req.body == "door=outer" ? 1
-                                                    : -1;
-        if (door < 0) {
-          http_.respond(*id, machine_.now(), {400, "bad door"});
-          continue;
-        }
-        Sel4Msg msg;
-        msg.push(static_cast<std::uint64_t>(door));
-        if (rt.rpc_call("doorReq", msg) != Sel4Error::kOk) {
-          http_.respond(*id, machine_.now(), {503, "control unavailable"});
-          continue;
-        }
-        http_.respond(*id, machine_.now(),
-                      msg.mr(0) != 0
-                          ? net::HttpResponse{200, "door released"}
-                          : net::HttpResponse{409, "interlock engaged"});
-      } else {
-        http_.respond(*id, machine_.now(), {404, "not found"});
-      }
-    }
-    machine_.sleep_for(sim::msec(100));
+namespace {
+
+struct MgmtLink {
+  Runtime& rt;
+
+  void refresh() {}
+  bool query_status(Bsl3Lab::Status* st) {
+    Sel4Msg msg;
+    if (rt.rpc_call("envQuery", msg) != Sel4Error::kOk) return false;
+    *st = {msg.mr_f64(0), msg.mr_f64(1), msg.mr_f64(2), msg.mr(3) != 0};
+    return true;
   }
+  std::optional<bool> request_door(int door) {
+    Sel4Msg msg;
+    msg.push(static_cast<std::uint64_t>(door));
+    if (rt.rpc_call("doorReq", msg) != Sel4Error::kOk) return std::nullopt;
+    return msg.mr(0) != 0;
+  }
+};
+
+}  // namespace
+
+void Bsl3Sel4Scenario::mgmt_body(Runtime& rt) {
+  MgmtLink link{rt};
+  run_mgmt(link, "bsl3-sel4", &rt);
 }
 
 }  // namespace mkbas::bas

@@ -1,12 +1,9 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 
-#include "aadl/compile.hpp"
-#include "bas/bsl3_scenario.hpp"  // Bsl3Config, Bsl3Safety, devices
+#include "bas/bsl3_scenario.hpp"  // Bsl3Safety, devices
 #include "camkes/camkes.hpp"
-#include "net/http.hpp"
 
 namespace mkbas::bas {
 
@@ -14,47 +11,19 @@ namespace mkbas::bas {
 /// the MINIX build, translated by the AADL→CAmkES path, with the
 /// untrusted management component holding capabilities only to its two
 /// connections into the containment controller.
-class Bsl3Sel4Scenario : public Scenario {
+class Bsl3Sel4Scenario : public Bsl3Lab {
  public:
   explicit Bsl3Sel4Scenario(sim::Machine& machine, Bsl3Config cfg = {});
-  ~Bsl3Sel4Scenario() override { machine_.shutdown(); }
-
-  Bsl3Sel4Scenario(const Bsl3Sel4Scenario&) = delete;
-  Bsl3Sel4Scenario& operator=(const Bsl3Sel4Scenario&) = delete;
-
-  /// Compromise the management component at `when` (arbitrary code with
-  /// exactly that component's capabilities).
-  void arm_mgmt_attack(
-      sim::Time when,
-      std::function<void(Bsl3Sel4Scenario&, camkes::Runtime&)> hook) {
-    attack_time_ = when;
-    attack_hook_ = std::move(hook);
-  }
-
   Platform platform() const override { return Platform::kSel4; }
   const char* variant() const override { return "bsl3"; }
-  void arm_attack(sim::Time when, AttackHook hook) override {
-    arm_mgmt_attack(when, [hook = std::move(hook)](Bsl3Sel4Scenario& sc,
-                                                   camkes::Runtime& rt) {
-      sc.attack_runtime_ = &rt;
-      hook(sc);
-      sc.attack_runtime_ = nullptr;
-    });
-  }
   int restarts() const override { return camkes_->restarts(); }
-  /// Non-null only while a generic arm_attack hook is executing.
+  /// The compromised management component's runtime (exactly that
+  /// component's capabilities), non-null only while an armed attack hook
+  /// runs.
   camkes::Runtime* attack_runtime() { return attack_runtime_; }
 
   camkes::CamkesSystem& camkes() { return *camkes_; }
   sel4::Sel4Kernel& kernel() { return camkes_->kernel(); }
-  sim::Machine& machine() override { return machine_; }
-  net::HttpConsole& http() override { return http_; }
-  physics::ContainmentModel& model() { return model_; }
-  devices::ExhaustFan& fan() { return fan_; }
-  const std::vector<devices::ContainmentSample>& history() const {
-    return coupler_->history();
-  }
-  const Bsl3Config& config() const { return cfg_; }
 
  private:
   void sensor_body(camkes::Runtime& rt);
@@ -64,19 +33,7 @@ class Bsl3Sel4Scenario : public Scenario {
   void alarm_body(camkes::Runtime& rt);
   void mgmt_body(camkes::Runtime& rt);
 
-  sim::Machine& machine_;
-  Bsl3Config cfg_;
-  physics::ContainmentModel model_;
-  devices::ExhaustFan fan_;
-  devices::DoorLatch inner_{"inner"};
-  devices::DoorLatch outer_{"outer"};
-  bool alarm_on_ = false;
-  std::unique_ptr<devices::ContainmentCoupler> coupler_;
-  std::unique_ptr<camkes::CamkesSystem> camkes_;
-  net::HttpConsole http_;
-  sim::Time attack_time_ = -1;
-  std::function<void(Bsl3Sel4Scenario&, camkes::Runtime&)> attack_hook_;
-  camkes::Runtime* attack_runtime_ = nullptr;
+  std::unique_ptr<camkes::CamkesSystem> camkes_;  // last: see ScenarioBase
 };
 
 }  // namespace mkbas::bas

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <optional>
 
+#include "physics/pressure.hpp"
 #include "sim/time.hpp"
 
 namespace mkbas::bas {
@@ -93,6 +95,94 @@ class TempControlLogic {
   bool heater_on_ = false;
   bool alarm_on_ = false;
   std::optional<sim::Time> out_of_band_since_;
+};
+
+/// Tunables of the BSL-3 containment controller (EXT1). Part of the
+/// shared ScenarioConfig so make_scenario builds the "bsl3" variant from
+/// the same configuration object as the temperature scenarios.
+struct Bsl3Config {
+  double target_lab_pa = -30.0;      // design negative pressure
+  double breach_threshold_pa = -5.0; // "loss of containment" line
+  sim::Duration alarm_delay = sim::sec(30);
+  sim::Duration sample_period = sim::sec(1);
+  sim::Duration door_open_time = sim::sec(10);
+  physics::ContainmentModel::Params model{};
+};
+
+/// The BSL-3 containment law, kept pure like TempControlLogic so the
+/// MINIX and seL4 builds run the identical law and differ only in the
+/// order of their IPC.
+///
+/// Fan: steps of 0.05 toward the target lab pressure outside a 1 Pa dead
+/// band, clamped to [0.3, 1]. Alarm: latches once the lab has stayed
+/// above the breach line for `alarm_delay`, clears 2 Pa below it. Doors:
+/// a request is granted only while the other door is shut (the
+/// interlock), and a granted door auto-closes `door_open_time` later.
+class ContainmentLogic {
+ public:
+  explicit ContainmentLogic(const Bsl3Config& cfg) : cfg_(cfg) {}
+
+  /// The actuator commands one pressure sample calls for.
+  struct Decision {
+    double fan_speed = 0.0;
+    bool alarm_on = false;
+    bool close_inner = false;  // auto-close deadline reached
+    bool close_outer = false;
+  };
+
+  Decision on_sample(double lab_pa, double ante_pa, sim::Time now) {
+    last_lab_ = lab_pa;
+    last_ante_ = ante_pa;
+    const double err = lab_pa - cfg_.target_lab_pa;
+    if (err > 1.0) {
+      fan_speed_ = std::min(1.0, fan_speed_ + 0.05);
+    } else if (err < -1.0) {
+      fan_speed_ = std::max(0.3, fan_speed_ - 0.05);
+    }
+    if (lab_pa > cfg_.breach_threshold_pa) {
+      if (breach_since_ < 0) breach_since_ = now;
+      if (now - breach_since_ >= cfg_.alarm_delay) alarm_on_ = true;
+    } else {
+      breach_since_ = -1;
+      if (lab_pa < cfg_.breach_threshold_pa - 2.0) alarm_on_ = false;
+    }
+    return {fan_speed_, alarm_on_, expire(&inner_open_until_, now),
+            expire(&outer_open_until_, now)};
+  }
+
+  /// Door 0 is the inner door, 1 the outer. Returns whether the
+  /// interlock grants opening it now.
+  bool request_door(int door, sim::Time now) {
+    const bool other_busy =
+        door == 0 ? outer_open_until_ >= 0 : inner_open_until_ >= 0;
+    const bool granted = !other_busy && (door == 0 || door == 1);
+    if (granted) {
+      (door == 0 ? inner_open_until_ : outer_open_until_) =
+          now + cfg_.door_open_time;
+    }
+    return granted;
+  }
+
+  double last_lab_pa() const { return last_lab_; }
+  double last_ante_pa() const { return last_ante_; }
+  double fan_speed() const { return fan_speed_; }
+  bool alarm_on() const { return alarm_on_; }
+
+ private:
+  static bool expire(sim::Time* open_until, sim::Time now) {
+    if (*open_until < 0 || now < *open_until) return false;
+    *open_until = -1;
+    return true;
+  }
+
+  Bsl3Config cfg_;
+  double fan_speed_ = 0.6;
+  bool alarm_on_ = false;
+  sim::Time breach_since_ = -1;
+  sim::Time inner_open_until_ = -1;
+  sim::Time outer_open_until_ = -1;
+  double last_lab_ = 0.0;
+  double last_ante_ = 0.0;
 };
 
 }  // namespace mkbas::bas

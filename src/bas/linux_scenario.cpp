@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "bas/web_logic.hpp"
+#include <iterator>
+#include <optional>
 
 namespace mkbas::bas {
 
@@ -72,12 +72,128 @@ bool LinuxScenario::decode_env(const std::string& s, EnvInfo* out) {
   return true;
 }
 
+// ---- links ----
+
+namespace {
+
+/// Non-blocking, like the other platforms: stale samples are dropped.
+struct SensorLink {
+  LinuxKernel& k;
+  int fd;
+  void send(double t) {
+    k.mq_send(fd, {LinuxScenario::encode_temp(t), 0}, /*blocking=*/false);
+  }
+};
+
+/// The paper's loop: block for new sensor data, then drain pending
+/// setpoint updates, then answer environment queries, then write the log.
+/// Every permission check happens inside linuxsim.
+class ControlLink {
+ public:
+  explicit ControlLink(LinuxKernel& k)
+      : k_(k),
+        sensor_(k.mq_open(LinuxScenario::kQSensor, false)),
+        setpoint_(k.mq_open(LinuxScenario::kQSetpoint, false)),
+        envreq_(k.mq_open(LinuxScenario::kQEnvReq, false)),
+        env_(k.mq_open(LinuxScenario::kQEnv, false)),
+        heater_(k.mq_open(LinuxScenario::kQHeater, false)),
+        alarm_(k.mq_open(LinuxScenario::kQAlarm, false)),
+        log_(k.open_file("/var/log/tempctl.log", true,
+                         Mode::rw_owner_only())) {}
+
+  bool usable() const { return sensor_ >= 0 && heater_ >= 0 && alarm_ >= 0; }
+
+  template <class OnSample, class OnSetpoint, class Env>
+  void serve(OnSample on_sample, OnSetpoint on_setpoint, Env env) {
+    for (;;) {
+      MqMessage msg;
+      if (k_.mq_receive(sensor_, msg) != Errno::kOk) return;
+      double v = 0;
+      // NOTE the structural weakness: nothing authenticates that this
+      // message came from the sensor process.
+      if (LinuxScenario::decode_temp(msg.data, &v)) on_sample(v);
+      // POSIX queues carry no reply to a setpoint update.
+      while (setpoint_ >= 0 &&
+             k_.mq_receive(setpoint_, msg, false) == Errno::kOk) {
+        if (LinuxScenario::decode_setpoint(msg.data, &v)) on_setpoint(v);
+      }
+      while (envreq_ >= 0 &&
+             k_.mq_receive(envreq_, msg, false) == Errno::kOk) {
+        if (env_ >= 0) {
+          k_.mq_send(env_, {LinuxScenario::encode_env(env()), 0}, false);
+        }
+      }
+      if (log_ >= 0) {
+        k_.write_file(log_, "t=" + std::to_string(k_.machine().now()) + " " +
+                                LinuxScenario::encode_env(env()) + "\n");
+      }
+    }
+  }
+
+  void ack_sample() {}
+  void command(TempScenario::Role which, bool on) {
+    k_.mq_send(which == TempScenario::Role::kHeater ? heater_ : alarm_,
+               {LinuxScenario::encode_cmd(on), 0}, false);
+  }
+  void sampled(const EnvInfo&) {}
+
+ private:
+  LinuxKernel& k_;
+  int sensor_, setpoint_, envreq_, env_, heater_, alarm_, log_;
+};
+
+struct ActuatorLink {
+  LinuxKernel& k;
+  int fd;
+
+  template <class Apply>
+  void serve(Apply apply) {
+    for (;;) {
+      MqMessage msg;
+      if (k.mq_receive(fd, msg) != Errno::kOk) return;
+      bool on = false;
+      if (LinuxScenario::decode_cmd(msg.data, &on)) apply(on);
+    }
+  }
+};
+
+struct WebLink {
+  LinuxKernel& k;
+  int setpoint, envreq, env;
+
+  void refresh() {}
+  bool query_env(EnvInfo* out) {
+    if (envreq < 0 || env < 0) return false;
+    if (k.mq_send(envreq, {"envreq", 0}, false) != Errno::kOk) return false;
+    // The reply arrives after the controller's next loop iteration.
+    for (int tries = 0; tries < 30; ++tries) {
+      MqMessage msg;
+      if (k.mq_receive(env, msg, false) == Errno::kOk) {
+        return LinuxScenario::decode_env(msg.data, out);
+      }
+      k.machine().sleep_for(sim::msec(100));
+    }
+    return false;
+  }
+  std::optional<bool> set_setpoint(double sp) {
+    if (setpoint < 0 ||
+        k.mq_send(setpoint, {LinuxScenario::encode_setpoint(sp), 0},
+                  false) != Errno::kOk) {
+      return std::nullopt;
+    }
+    // POSIX queues carry no reply; report acceptance optimistically
+    // (range rejection is visible via /status).
+    return true;
+  }
+};
+
+}  // namespace
+
 // ---- scenario ----
 
 LinuxScenario::LinuxScenario(sim::Machine& machine, ScenarioConfig cfg,
                              Accounts accounts)
-    : machine_(machine), cfg_(cfg), accounts_(accounts) {
-  plant_ = std::make_unique<Plant>(machine_, cfg_);
+    : TempScenario(machine, cfg, "linux"), accounts_(accounts) {
   kernel_ = std::make_unique<LinuxKernel>(machine_);
   const linuxsim::Uid scenario_uid =
       accounts_ == Accounts::kShared ? Uids::kShared : linuxsim::kRootUid;
@@ -110,252 +226,42 @@ void LinuxScenario::scenario_proc() {
   make_queue(kQHeater, Uids::kControl, Uids::kHeater);
   make_queue(kQAlarm, Uids::kControl, Uids::kAlarm);
 
-  auto uid_for = [&](linuxsim::Uid separate) {
-    return shared ? Uids::kShared : separate;
-  };
-  k.spawn_process("tempProc", uid_for(Uids::kControl),
-                  [this] { control_proc(); }, 6);
-  k.spawn_process("heaterActProc", uid_for(Uids::kHeater),
-                  [this] { heater_proc(); }, 5);
-  k.spawn_process("alarmProc", uid_for(Uids::kAlarm),
-                  [this] { alarm_proc(); }, 5);
-  k.spawn_process("tempSensProc", uid_for(Uids::kSensor),
-                  [this] { sensor_proc(); }, 5);
-  k.spawn_process("webInterface", uid_for(Uids::kWeb),
-                  [this] { web_proc(); }, 8);
+  // With separate accounts, each process has its own uid (kProcesses order).
+  const linuxsim::Uid own_uid[] = {Uids::kControl, Uids::kHeater,
+                                   Uids::kAlarm, Uids::kSensor, Uids::kWeb};
+  for (std::size_t i = 0; i < std::size(kProcesses); ++i) {
+    const Process& p = kProcesses[i];
+    k.spawn_process(p.name, shared ? Uids::kShared : own_uid[i],
+                    [this, role = p.role] { run_process(role); }, p.priority);
+  }
   k.sys_exit(0);
 }
 
-void LinuxScenario::sensor_proc() {
+void LinuxScenario::run_process(Role role) {
   auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  const int self = machine_.current()->pid();
-  const int fd = k.mq_open(kQSensor, false);
-  if (fd < 0) return;
-  for (;;) {
-    // Root of the control-loop trace (see the MINIX scenario).
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_sample);
-    const double t = plant_->sensor.read_temperature_c();
-    machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kDevice,
-                          "sensor.sample", "", t);
-    // Non-blocking, like the other platforms: stale samples are dropped.
-    k.mq_send(fd, {encode_temp(t), 0}, /*blocking=*/false);
-    spans.end(self, machine_.now(), s);
-    machine_.sleep_for(cfg_.sensor_period);
-  }
-}
-
-void LinuxScenario::control_proc() {
-  auto& k = *kernel_;
-  const int fd_sensor = k.mq_open(kQSensor, false);
-  const int fd_setpoint = k.mq_open(kQSetpoint, false);
-  const int fd_envreq = k.mq_open(kQEnvReq, false);
-  const int fd_env = k.mq_open(kQEnv, false);
-  const int fd_heater = k.mq_open(kQHeater, false);
-  const int fd_alarm = k.mq_open(kQAlarm, false);
-  const int fd_log =
-      k.open_file("/var/log/tempctl.log", true, Mode::rw_owner_only());
-  if (fd_sensor < 0 || fd_heater < 0 || fd_alarm < 0) return;
-
-  TempControlLogic logic(cfg_.control);
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_compute =
-      sim::TagRegistry::instance().intern("ctl.compute");
-  const int self = machine_.current()->pid();
-  // Control-quality metrics (see the MINIX scenario for the definition).
-  auto jitter = machine_.metrics().log_histogram("linux.ctl.jitter", 4, 1e6);
-  auto jitter_sig = machine_.health().signal("linux.ctl.jitter");
-  auto actuations = machine_.metrics().counter("linux.ctl.actuations");
-  sim::Time last_sample_t = -1;
-  for (;;) {
-    // The paper's loop: wait for new sensor data ...
-    MqMessage msg;
-    if (k.mq_receive(fd_sensor, msg) != Errno::kOk) return;
-    double t = 0;
-    if (decode_temp(msg.data, &t)) {
-      // Chains under the sensor's mq hop (delivery set this pid's current
-      // context); both actuator sends below chain under it in turn.
-      const std::uint64_t cs = spans.begin(self, machine_.now(), tag_compute);
-      // NOTE the structural weakness: nothing authenticates that this
-      // message came from the sensor process.
-      const auto d = logic.on_sample(t, machine_.now());
-      k.mq_send(fd_heater, {encode_cmd(d.heater_on), 0}, false);
-      actuations.inc();
-      k.mq_send(fd_alarm, {encode_cmd(d.alarm_on), 0}, false);
-      actuations.inc();
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kControl,
-                            "ctl.sample", "", t);
-      if (last_sample_t >= 0) {
-        const sim::Duration dt = machine_.now() - last_sample_t;
-        const sim::Duration nominal = cfg_.sensor_period;
-        const auto dev = static_cast<double>(
-            dt > nominal ? dt - nominal : nominal - dt);
-        jitter.record(dev);
-        jitter_sig.observe(machine_.now(), dev);
-      }
-      last_sample_t = machine_.now();
-      spans.end(self, machine_.now(), cs);
+  switch (role) {
+    case Role::kControl: {
+      ControlLink link(k);
+      if (link.usable()) run_control(link);
+      return;
     }
-    // ... then check for pending setpoint updates from the web interface,
-    MqMessage sp_msg;
-    while (fd_setpoint >= 0 &&
-           k.mq_receive(fd_setpoint, sp_msg, false) == Errno::kOk) {
-      double sp = 0;
-      if (decode_setpoint(sp_msg.data, &sp)) {
-        const bool ok = logic.try_set_setpoint(sp, machine_.now());
-        machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kControl,
-                              ok ? "ctl.setpoint" : "ctl.setpoint_rejected",
-                              "", sp);
-      }
+    case Role::kHeater:
+    case Role::kAlarm: {
+      ActuatorLink link{
+          k, k.mq_open(role == Role::kHeater ? kQHeater : kQAlarm, false)};
+      if (link.fd >= 0) run_actuator(link, role);
+      return;
     }
-    // ... answer environment queries,
-    MqMessage req;
-    while (fd_envreq >= 0 &&
-           k.mq_receive(fd_envreq, req, false) == Errno::kOk) {
-      if (fd_env >= 0) {
-        k.mq_send(fd_env, {encode_env(logic.env()), 0}, false);
-      }
+    case Role::kSensor: {
+      SensorLink link{k, k.mq_open(kQSensor, false)};
+      if (link.fd >= 0) run_sensor(link);
+      return;
     }
-    // ... and write environment information to the log file.
-    if (fd_log >= 0) {
-      k.write_file(fd_log, "t=" + std::to_string(machine_.now()) + " " +
-                               encode_env(logic.env()) + "\n");
+    case Role::kWeb: {
+      WebLink link{k, k.mq_open(kQSetpoint, false),
+                   k.mq_open(kQEnvReq, false), k.mq_open(kQEnv, false)};
+      return run_web(link);
     }
-  }
-}
-
-void LinuxScenario::heater_proc() {
-  auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_apply =
-      sim::TagRegistry::instance().intern("act.apply");
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  auto e2e = machine_.metrics().log_histogram("linux.ctl.e2e_us", 4, 1e6);
-  auto e2e_sig = machine_.health().signal("linux.ctl.e2e_us");
-  const int self = machine_.current()->pid();
-  const int fd = k.mq_open(kQHeater, false);
-  if (fd < 0) return;
-  for (;;) {
-    MqMessage msg;
-    if (k.mq_receive(fd, msg) != Errno::kOk) return;
-    bool on = false;
-    if (!decode_cmd(msg.data, &on)) continue;
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_apply);
-    plant_->heater.set_on(on, machine_.now());
-    // Sensor-to-actuation latency measured on the span chain itself (see
-    // the MINIX scenario for why the root check matters).
-    const std::uint64_t root = spans.root_of(s);
-    if (root != 0 && spans.name_of(root) == tag_sample) {
-      const sim::Time t0 = spans.start_of(root);
-      if (t0 >= 0) {
-        e2e.record(static_cast<double>(machine_.now() - t0));
-        e2e_sig.observe(machine_.now(),
-                        static_cast<double>(machine_.now() - t0));
-      }
-    }
-    spans.end(self, machine_.now(), s);
-  }
-}
-
-void LinuxScenario::alarm_proc() {
-  auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_apply =
-      sim::TagRegistry::instance().intern("act.apply");
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  auto e2e = machine_.metrics().log_histogram("linux.ctl.e2e_us", 4, 1e6);
-  auto e2e_sig = machine_.health().signal("linux.ctl.e2e_us");
-  const int self = machine_.current()->pid();
-  const int fd = k.mq_open(kQAlarm, false);
-  if (fd < 0) return;
-  for (;;) {
-    MqMessage msg;
-    if (k.mq_receive(fd, msg) != Errno::kOk) return;
-    bool on = false;
-    if (!decode_cmd(msg.data, &on)) continue;
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_apply);
-    plant_->alarm.set_on(on, machine_.now());
-    const std::uint64_t root = spans.root_of(s);
-    if (root != 0 && spans.name_of(root) == tag_sample) {
-      const sim::Time t0 = spans.start_of(root);
-      if (t0 >= 0) {
-        e2e.record(static_cast<double>(machine_.now() - t0));
-        e2e_sig.observe(machine_.now(),
-                        static_cast<double>(machine_.now() - t0));
-      }
-    }
-    spans.end(self, machine_.now(), s);
-  }
-}
-
-void LinuxScenario::web_proc() {
-  auto& k = *kernel_;
-  const int fd_setpoint = k.mq_open(kQSetpoint, false);
-  const int fd_envreq = k.mq_open(kQEnvReq, false);
-  const int fd_env = k.mq_open(kQEnv, false);
-  bool attacked = false;
-
-  auto fetch_env = [&](EnvInfo* env) -> bool {
-    if (fd_envreq < 0 || fd_env < 0) return false;
-    if (k.mq_send(fd_envreq, {"envreq", 0}, false) != Errno::kOk) {
-      return false;
-    }
-    // The reply arrives after the controller's next loop iteration.
-    for (int tries = 0; tries < 30; ++tries) {
-      MqMessage msg;
-      if (k.mq_receive(fd_env, msg, false) == Errno::kOk) {
-        return decode_env(msg.data, env);
-      }
-      machine_.sleep_for(sim::msec(100));
-    }
-    return false;
-  };
-
-  for (;;) {
-    if (attack_hook_ && !attacked && attack_time_ >= 0 &&
-        machine_.now() >= attack_time_) {
-      attacked = true;
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kAttack,
-                            "web.compromised", "linux");
-      attack_hook_(*this);
-    }
-    while (auto id = http_.poll()) {
-      const WebAction act = route_request(http_.request(*id));
-      switch (act.kind) {
-        case WebAction::Kind::kStatus: {
-          EnvInfo env;
-          if (fetch_env(&env)) {
-            http_.respond(*id, machine_.now(), render_status(env));
-          } else {
-            http_.respond(*id, machine_.now(), render_unavailable());
-          }
-          break;
-        }
-        case WebAction::Kind::kSetSetpoint: {
-          if (fd_setpoint < 0 ||
-              k.mq_send(fd_setpoint, {encode_setpoint(act.setpoint_c), 0},
-                        false) != Errno::kOk) {
-            http_.respond(*id, machine_.now(), render_unavailable());
-            break;
-          }
-          // POSIX queues carry no reply; report acceptance optimistically
-          // (range rejection is visible via /status).
-          http_.respond(*id, machine_.now(), render_setpoint_result(true));
-          break;
-        }
-        case WebAction::Kind::kBadRequest:
-          http_.respond(*id, machine_.now(), render_bad_request());
-          break;
-        case WebAction::Kind::kNotFound:
-          http_.respond(*id, machine_.now(), render_not_found());
-          break;
-      }
-    }
-    machine_.sleep_for(cfg_.web_poll);
   }
 }
 

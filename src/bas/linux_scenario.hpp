@@ -1,16 +1,14 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
-#include "bas/scenario.hpp"
+#include "bas/temp_program.hpp"
 #include "linuxsim/kernel.hpp"
-#include "net/http.hpp"
 
 namespace mkbas::bas {
 
-/// The temperature-control scenario on Linux (§IV.C): POSIX message
+/// The temperature-control program on Linux (§IV.C): POSIX message
 /// queues as IPC, a scenario process spawning the five processes and
 /// creating the six queues.
 ///
@@ -22,7 +20,7 @@ namespace mkbas::bas {
 ///    message queues");
 ///  * kSeparateAccounts — one uid per process plus tight per-queue ACLs
 ///    (the "well-configured" baseline that only root can defeat).
-class LinuxScenario : public Scenario {
+class LinuxScenario : public TempScenario {
  public:
   enum class Accounts { kShared, kSeparate };
 
@@ -45,34 +43,14 @@ class LinuxScenario : public Scenario {
 
   explicit LinuxScenario(sim::Machine& machine, ScenarioConfig cfg = {},
                          Accounts accounts = Accounts::kShared);
-  ~LinuxScenario() override { machine_.shutdown(); }
-
-  LinuxScenario(const LinuxScenario&) = delete;
-  LinuxScenario& operator=(const LinuxScenario&) = delete;
-
-  /// Arm a compromise of the web interface (same contract as the other
-  /// platforms). The hook runs inside the web process; escalate to root
-  /// via kernel().exploit_escalate_to_root() for the second simulation.
-  void arm_web_attack(sim::Time when,
-                      std::function<void(LinuxScenario&)> hook) {
-    attack_time_ = when;
-    attack_hook_ = std::move(hook);
-  }
 
   Platform platform() const override { return Platform::kLinux; }
   const char* variant() const override { return "temp"; }
-  void arm_attack(sim::Time when, AttackHook hook) override {
-    arm_web_attack(when, [hook = std::move(hook)](LinuxScenario& sc) {
-      hook(sc);
-    });
-  }
 
+  /// Attack hooks run inside the web process; escalate to root via
+  /// kernel().exploit_escalate_to_root() for the second simulation.
   linuxsim::LinuxKernel& kernel() { return *kernel_; }
-  sim::Machine& machine() override { return machine_; }
-  net::HttpConsole& http() override { return http_; }
-  Plant* plant() override { return plant_.get(); }
   Accounts accounts() const { return accounts_; }
-  const ScenarioConfig& config() const { return cfg_; }
 
   /// pid of a scenario process by name ("tempProc" etc.), -1 if dead.
   int pid_of(const std::string& name) const { return kernel_->find_pid(name); }
@@ -89,20 +67,10 @@ class LinuxScenario : public Scenario {
 
  private:
   void scenario_proc();
-  void sensor_proc();
-  void control_proc();
-  void heater_proc();
-  void alarm_proc();
-  void web_proc();
+  void run_process(Role role);
 
-  sim::Machine& machine_;
-  ScenarioConfig cfg_;
   Accounts accounts_;
-  std::unique_ptr<Plant> plant_;
-  std::unique_ptr<linuxsim::LinuxKernel> kernel_;
-  net::HttpConsole http_;
-  sim::Time attack_time_ = -1;
-  std::function<void(LinuxScenario&)> attack_hook_;
+  std::unique_ptr<linuxsim::LinuxKernel> kernel_;  // last: see ScenarioBase
 };
 
 }  // namespace mkbas::bas

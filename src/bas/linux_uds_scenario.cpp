@@ -1,9 +1,7 @@
 #include "bas/linux_uds_scenario.hpp"
 
+#include <optional>
 #include <vector>
-
-#include "bas/linux_scenario.hpp"  // wire-format helpers
-#include "bas/web_logic.hpp"
 
 namespace mkbas::bas {
 
@@ -13,8 +11,9 @@ using linuxsim::Mode;
 
 LinuxUdsScenario::LinuxUdsScenario(sim::Machine& machine, ScenarioConfig cfg,
                                    Accounts accounts, Namespace ns)
-    : machine_(machine), cfg_(cfg), accounts_(accounts), ns_(ns) {
-  plant_ = std::make_unique<Plant>(machine_, cfg_);
+    : TempScenario(machine, cfg, "linux-uds"),
+      accounts_(accounts),
+      ns_(ns) {
   kernel_ = std::make_unique<LinuxKernel>(machine_);
   const linuxsim::Uid scenario_uid =
       accounts_ == Accounts::kShared ? Uids::kShared : linuxsim::kRootUid;
@@ -206,12 +205,20 @@ void LinuxUdsScenario::sensor_proc() {
   }
 }
 
-void LinuxUdsScenario::web_proc() {
-  auto& k = *kernel_;
-  int conn = connect_retry(*this, kCtlSock, kCtlAbstract);
-  bool attacked = false;
+namespace {
 
-  auto fetch_env = [&](EnvInfo* env) -> bool {
+struct WebLink {
+  LinuxUdsScenario& sc;
+  int conn;
+
+  void refresh() {
+    if (conn < 0) {
+      conn = connect_retry(sc, LinuxUdsScenario::kCtlSock,
+                           LinuxUdsScenario::kCtlAbstract, 2);
+    }
+  }
+  bool query_env(EnvInfo* env) {
+    auto& k = sc.kernel();
     if (conn < 0) return false;
     if (k.sock_send(conn, "envreq", false) != Errno::kOk) return false;
     for (int tries = 0; tries < 30; ++tries) {
@@ -219,53 +226,25 @@ void LinuxUdsScenario::web_proc() {
       const Errno r = k.sock_recv(conn, &msg, false);
       if (r == Errno::kOk) return LinuxScenario::decode_env(msg, env);
       if (r != Errno::kEAGAIN) return false;
-      machine_.sleep_for(sim::msec(100));
+      sc.machine().sleep_for(sim::msec(100));
     }
     return false;
-  };
-
-  for (;;) {
-    if (conn < 0) conn = connect_retry(*this, kCtlSock, kCtlAbstract, 2);
-    if (attack_hook_ && !attacked && attack_time_ >= 0 &&
-        machine_.now() >= attack_time_) {
-      attacked = true;
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kAttack,
-                            "web.compromised", "linux-uds");
-      attack_hook_(*this);
-    }
-    while (auto id = http_.poll()) {
-      const WebAction act = route_request(http_.request(*id));
-      switch (act.kind) {
-        case WebAction::Kind::kStatus: {
-          EnvInfo env;
-          if (fetch_env(&env)) {
-            http_.respond(*id, machine_.now(), render_status(env));
-          } else {
-            http_.respond(*id, machine_.now(), render_unavailable());
-          }
-          break;
-        }
-        case WebAction::Kind::kSetSetpoint: {
-          if (conn < 0 ||
-              k.sock_send(conn,
-                          LinuxScenario::encode_setpoint(act.setpoint_c),
-                          false) != Errno::kOk) {
-            http_.respond(*id, machine_.now(), render_unavailable());
-            break;
-          }
-          http_.respond(*id, machine_.now(), render_setpoint_result(true));
-          break;
-        }
-        case WebAction::Kind::kBadRequest:
-          http_.respond(*id, machine_.now(), render_bad_request());
-          break;
-        case WebAction::Kind::kNotFound:
-          http_.respond(*id, machine_.now(), render_not_found());
-          break;
-      }
-    }
-    machine_.sleep_for(cfg_.web_poll);
   }
+  std::optional<bool> set_setpoint(double sp) {
+    if (conn < 0 ||
+        sc.kernel().sock_send(conn, LinuxScenario::encode_setpoint(sp),
+                              false) != Errno::kOk) {
+      return std::nullopt;
+    }
+    return true;
+  }
+};
+
+}  // namespace
+
+void LinuxUdsScenario::web_proc() {
+  WebLink link{*this, connect_retry(*this, kCtlSock, kCtlAbstract)};
+  run_web(link);
 }
 
 }  // namespace mkbas::bas

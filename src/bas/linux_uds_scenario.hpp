@@ -4,9 +4,7 @@
 #include <memory>
 #include <string>
 
-#include "bas/scenario.hpp"
-#include "linuxsim/kernel.hpp"
-#include "net/http.hpp"
+#include "bas/linux_scenario.hpp"
 
 namespace mkbas::bas {
 
@@ -22,19 +20,16 @@ namespace mkbas::bas {
 ///  * kAbstract — sockets bound to abstract names with NO permission
 ///    model at all: whoever binds first owns the name, enabling the
 ///    squatting/hijack attacks of the Android CVEs.
-class LinuxUdsScenario : public Scenario {
+///
+/// Only the web interface runs the shared program's body. The sensor,
+/// controller and drivers keep their own socket loops, which record no
+/// spans or control metrics: adding them would change this variant's
+/// exported bytes.
+class LinuxUdsScenario : public TempScenario {
  public:
-  enum class Accounts { kShared, kSeparate };
+  using Accounts = LinuxScenario::Accounts;
+  using Uids = LinuxScenario::Uids;
   enum class Namespace { kFilesystem, kAbstract };
-
-  struct Uids {
-    static constexpr linuxsim::Uid kShared = 1000;
-    static constexpr linuxsim::Uid kSensor = 1001;
-    static constexpr linuxsim::Uid kControl = 1002;
-    static constexpr linuxsim::Uid kHeater = 1003;
-    static constexpr linuxsim::Uid kAlarm = 1004;
-    static constexpr linuxsim::Uid kWeb = 1005;
-  };
 
   // Socket names (paths in the filesystem namespace, bare names in the
   // abstract one).
@@ -48,32 +43,13 @@ class LinuxUdsScenario : public Scenario {
   LinuxUdsScenario(sim::Machine& machine, ScenarioConfig cfg = {},
                    Accounts accounts = Accounts::kShared,
                    Namespace ns = Namespace::kFilesystem);
-  ~LinuxUdsScenario() override { machine_.shutdown(); }
-
-  LinuxUdsScenario(const LinuxUdsScenario&) = delete;
-  LinuxUdsScenario& operator=(const LinuxUdsScenario&) = delete;
-
-  void arm_web_attack(sim::Time when,
-                      std::function<void(LinuxUdsScenario&)> hook) {
-    attack_time_ = when;
-    attack_hook_ = std::move(hook);
-  }
 
   Platform platform() const override { return Platform::kLinux; }
   const char* variant() const override { return "uds"; }
-  void arm_attack(sim::Time when, AttackHook hook) override {
-    arm_web_attack(when, [hook = std::move(hook)](LinuxUdsScenario& sc) {
-      hook(sc);
-    });
-  }
 
   linuxsim::LinuxKernel& kernel() { return *kernel_; }
-  sim::Machine& machine() override { return machine_; }
-  net::HttpConsole& http() override { return http_; }
-  Plant* plant() override { return plant_.get(); }
   Accounts accounts() const { return accounts_; }
   Namespace ns() const { return ns_; }
-  const ScenarioConfig& config() const { return cfg_; }
   int pid_of(const std::string& name) const { return kernel_->find_pid(name); }
 
   /// Connect to a scenario service the way its clients do (used by the
@@ -90,15 +66,9 @@ class LinuxUdsScenario : public Scenario {
   int bind_service(const char* fs_path, const char* abstract_name,
                    linuxsim::Mode mode);
 
-  sim::Machine& machine_;
-  ScenarioConfig cfg_;
   Accounts accounts_;
   Namespace ns_;
-  std::unique_ptr<Plant> plant_;
-  std::unique_ptr<linuxsim::LinuxKernel> kernel_;
-  net::HttpConsole http_;
-  sim::Time attack_time_ = -1;
-  std::function<void(LinuxUdsScenario&)> attack_hook_;
+  std::unique_ptr<linuxsim::LinuxKernel> kernel_;  // last: see ScenarioBase
 };
 
 }  // namespace mkbas::bas

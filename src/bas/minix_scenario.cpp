@@ -1,11 +1,9 @@
 #include "bas/minix_scenario.hpp"
 
 #include <cstdio>
-#include <stdexcept>
+#include <optional>
 
-#include "aadl/parser.hpp"
 #include "aadl/scenario_model.hpp"
-#include "bas/web_logic.hpp"
 
 namespace mkbas::bas {
 
@@ -17,24 +15,168 @@ using minix::MinixKernel;
 
 namespace {
 
-aadl::CompiledSystem compile_builtin() {
-  aadl::Parser parser(aadl::temp_control_aadl());
-  const aadl::Model model = parser.parse();
-  std::vector<aadl::Diagnostic> diags;
-  auto sys = aadl::compile(model, "TempControl.impl", diags);
-  if (!sys.has_value()) {
-    throw std::runtime_error("builtin scenario model failed to compile: " +
-                             (diags.empty() ? "?" : diags[0].message));
+/// Samples go out with a nonblocking send ("sends the fresh data using
+/// nonblocking send"): a busy controller simply misses this sample and
+/// catches the next one. A *dead* controller may have been reincarnated,
+/// so the sensor re-resolves it by name.
+struct SensorLink {
+  MinixKernel& k;
+  Endpoint ctl;
+
+  void send(double t) {
+    Message m;
+    m.m_type = ScenarioMTypes::kSensorData;
+    m.put_f64(WireFormat::kTempOff, t);
+    if (k.ipc_sendnb(ctl, m) == IpcResult::kDeadSrcDst) {
+      const Endpoint fresh = k.lookup("tempProc");
+      if (fresh.valid()) ctl = fresh;
+    }
   }
-  return *sys;
-}
+};
+
+class ControlLink {
+ public:
+  ControlLink(MinixKernel& k, minix::FsServer* fs)
+      : k_(k),
+        heater_(k.wait_lookup("heaterActProc")),
+        alarm_(k.wait_lookup("alarmProc")),
+        sensor_(k.wait_lookup("tempSensProc")) {
+    // "At the end of the while loop, environment information will be
+    // written in a log file" — through the user-mode FS server.
+    if (fs != nullptr) {
+      fs_client_.emplace(k, fs->endpoint());
+      log_fd_ = fs_client_->open("/var/log/tempctl.log", /*create=*/true);
+    }
+  }
+
+  template <class OnSample, class OnSetpoint, class Env>
+  void serve(OnSample on_sample, OnSetpoint on_setpoint, Env env) {
+    for (;;) {
+      Message m;
+      if (k_.ipc_receive(Endpoint::any(), m) != IpcResult::kOk) continue;
+      Message reply;
+      reply.m_type = ScenarioMTypes::kAck;
+      switch (m.m_type) {
+        case ScenarioMTypes::kSensorData:
+          // Defence in depth: the ACM already guarantees only the sensor
+          // can send this type, but a correct implementation checks
+          // anyway. The sensor may have been reincarnated under a new
+          // endpoint.
+          if (m.source() != sensor_) {
+            const Endpoint fresh = k_.lookup("tempSensProc");
+            if (fresh.valid()) sensor_ = fresh;
+            if (m.source() != sensor_) break;
+          }
+          on_sample(m.get_f64(WireFormat::kTempOff));
+          break;
+        case ScenarioMTypes::kSetpoint: {
+          const bool ok = on_setpoint(m.get_f64(WireFormat::kSetpointOff));
+          reply.put_i32(WireFormat::kOkOff, ok ? 1 : 0);
+          k_.ipc_senda(m.source(), reply);  // async: never block on clients
+          break;
+        }
+        case ScenarioMTypes::kEnvQuery: {
+          const EnvInfo e = env();
+          reply.put_f64(WireFormat::kEnvTempOff, e.last_temp_c);
+          reply.put_f64(WireFormat::kEnvSpOff, e.setpoint_c);
+          reply.put_i32(WireFormat::kEnvHeaterOff, e.heater_on ? 1 : 0);
+          reply.put_i32(WireFormat::kEnvAlarmOff, e.alarm_on ? 1 : 0);
+          k_.ipc_senda(m.source(), reply);
+          break;
+        }
+        default:
+          break;  // unknown type: drop (the ACM should have stopped it)
+      }
+    }
+  }
+
+  void ack_sample() {}
+
+  /// Drivers may be restarted by the reincarnation server under a new
+  /// endpoint; on a dead-destination error, re-resolve by name and retry.
+  void command(TempScenario::Role which, bool on) {
+    const bool heater = which == TempScenario::Role::kHeater;
+    Endpoint& ep = heater ? heater_ : alarm_;
+    Message m;
+    m.m_type = ScenarioMTypes::kActuatorCmd;
+    m.put_i32(WireFormat::kCmdOff, on ? 1 : 0);
+    if (k_.ipc_send(ep, m) == IpcResult::kDeadSrcDst) {
+      const Endpoint fresh = k_.lookup(heater ? "heaterActProc" : "alarmProc");
+      if (fresh.valid()) {
+        ep = fresh;
+        k_.ipc_send(ep, m);
+      }
+    }
+  }
+
+  void sampled(const EnvInfo& env) {
+    if (log_fd_ < 0) return;
+    char line[96];
+    std::snprintf(line, sizeof line, "t=%lld temp=%.2f sp=%.1f h=%d a=%d\n",
+                  static_cast<long long>(k_.machine().now() / sim::sec(1)),
+                  env.last_temp_c, env.setpoint_c, env.heater_on ? 1 : 0,
+                  env.alarm_on ? 1 : 0);
+    fs_client_->write(log_fd_, line);
+  }
+
+ private:
+  MinixKernel& k_;
+  Endpoint heater_, alarm_, sensor_;
+  std::optional<minix::FsClient> fs_client_;
+  int log_fd_ = -1;
+};
+
+struct ActuatorLink {
+  MinixKernel& k;
+
+  template <class Apply>
+  void serve(Apply apply) {
+    for (;;) {
+      Message m;
+      if (k.ipc_receive(Endpoint::any(), m) != IpcResult::kOk) continue;
+      if (m.m_type != ScenarioMTypes::kActuatorCmd) continue;
+      apply(m.get_i32(WireFormat::kCmdOff) != 0);
+    }
+  }
+};
+
+struct WebLink {
+  MinixKernel& k;
+  Endpoint ctl;
+
+  /// Refresh a stale endpoint after a controller reincarnation.
+  void refresh() {
+    if (!k.is_live(ctl)) {
+      const Endpoint fresh = k.lookup("tempProc");
+      if (fresh.valid()) ctl = fresh;
+    }
+  }
+
+  bool query_env(EnvInfo* env) {
+    Message m;
+    m.m_type = ScenarioMTypes::kEnvQuery;
+    if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) return false;
+    env->last_temp_c = m.get_f64(WireFormat::kEnvTempOff);
+    env->setpoint_c = m.get_f64(WireFormat::kEnvSpOff);
+    env->heater_on = m.get_i32(WireFormat::kEnvHeaterOff) != 0;
+    env->alarm_on = m.get_i32(WireFormat::kEnvAlarmOff) != 0;
+    return true;
+  }
+
+  std::optional<bool> set_setpoint(double sp) {
+    Message m;
+    m.m_type = ScenarioMTypes::kSetpoint;
+    m.put_f64(WireFormat::kSetpointOff, sp);
+    if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) return std::nullopt;
+    return m.get_i32(WireFormat::kOkOff) != 0;
+  }
+};
 
 }  // namespace
 
 MinixScenario::MinixScenario(sim::Machine& machine, ScenarioConfig cfg)
-    : machine_(machine), cfg_(cfg), system_(compile_builtin()) {
-  plant_ = std::make_unique<Plant>(machine_, cfg_);
-
+    : TempScenario(machine, cfg, "minix"),
+      system_(compile_model(aadl::temp_control_aadl(), "TempControl.impl")) {
   aadl::AcmGenOptions opts;
   opts.enable_quotas = cfg_.enable_quotas;
   // The kill syscall is addressable by everyone (as on real MINIX); the
@@ -71,306 +213,39 @@ void MinixScenario::loader_proc() {
   auto& k = *kernel_;
   // fork2 each process with the ac_id from the AADL specification
   // ("tells kernel each process's ac_id, and loads the correct binaries").
-  struct Row {
-    const char* name;
-    int ac;
-    void (MinixScenario::*body)();
-    int prio;
-  };
-  const Row rows[] = {
-      {"tempProc", aadl::ScenarioAcIds::kTempControl,
-       &MinixScenario::control_proc, 6},
-      {"heaterActProc", aadl::ScenarioAcIds::kHeaterActuator,
-       &MinixScenario::heater_proc, 5},
-      {"alarmProc", aadl::ScenarioAcIds::kAlarmActuator,
-       &MinixScenario::alarm_proc, 5},
-      {"tempSensProc", aadl::ScenarioAcIds::kTempSensor,
-       &MinixScenario::sensor_proc, 5},
-      {"webInterface", aadl::ScenarioAcIds::kWebInterface,
-       &MinixScenario::web_proc, 8},
-  };
-  for (const Row& row : rows) {
-    const auto res =
-        k.fork2(row.name, row.ac, [this, row] { (this->*row.body)(); },
-                row.prio);
+  for (const Process& p : kProcesses) {
+    const auto res = k.fork2(p.name, system_.ac_of(p.name),
+                             [this, role = p.role] { run_process(role); },
+                             p.priority);
     if (res.status != IpcResult::kOk) {
       machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kProcess,
-                            "scenario.load_failed", row.name);
+                            "scenario.load_failed", p.name);
     }
   }
   k.seal_ac_assignment();  // boot period over: ac_ids are now fixed
   k.pm_exit(0);
 }
 
-void MinixScenario::sensor_proc() {
+void MinixScenario::run_process(Role role) {
   auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  const int self = machine_.current()->pid();
-  Endpoint ctl = k.wait_lookup("tempProc");
-  for (;;) {
-    // Root of the control-loop trace: the IPC hop to the controller (and
-    // everything the controller does with this sample) chains under it.
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_sample);
-    const double t = plant_->sensor.read_temperature_c();
-    machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kDevice,
-                          "sensor.sample", "", t);
-    Message m;
-    m.m_type = ScenarioMTypes::kSensorData;
-    m.put_f64(WireFormat::kTempOff, t);
-    // "sends the fresh data using nonblocking send" — a busy controller
-    // simply misses this sample and catches the next one. A *dead*
-    // controller may have been reincarnated: re-resolve by name.
-    if (k.ipc_sendnb(ctl, m) == IpcResult::kDeadSrcDst) {
-      const Endpoint fresh = k.lookup("tempProc");
-      if (fresh.valid()) ctl = fresh;
+  switch (role) {
+    case Role::kControl: {
+      ControlLink link(k, fs_.get());
+      return run_control(link);
     }
-    spans.end(self, machine_.now(), s);
-    machine_.sleep_for(cfg_.sensor_period);
-  }
-}
-
-void MinixScenario::control_proc() {
-  auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_compute =
-      sim::TagRegistry::instance().intern("ctl.compute");
-  const int self = machine_.current()->pid();
-  Endpoint heater = k.wait_lookup("heaterActProc");
-  Endpoint alarm = k.wait_lookup("alarmProc");
-  Endpoint sensor_ep = k.wait_lookup("tempSensProc");
-  TempControlLogic logic(cfg_.control);
-  // Control-quality metrics: deviation of the realised sample interval
-  // from the nominal sensor period, and every actuator command issued.
-  auto jitter = machine_.metrics().log_histogram("minix.ctl.jitter", 4, 1e6);
-  auto jitter_sig = machine_.health().signal("minix.ctl.jitter");
-  auto actuations = machine_.metrics().counter("minix.ctl.actuations");
-  sim::Time last_sample_t = -1;
-
-  // "At the end of the while loop, environment information will be
-  // written in a log file" — through the user-mode FS server.
-  int log_fd = -1;
-  std::unique_ptr<minix::FsClient> fs_client;
-  if (fs_ != nullptr) {
-    fs_client = std::make_unique<minix::FsClient>(k, fs_->endpoint());
-    log_fd = fs_client->open("/var/log/tempctl.log", /*create=*/true);
-  }
-  auto log_env = [&] {
-    if (log_fd < 0) return;
-    const EnvInfo env = logic.env();
-    char line[96];
-    std::snprintf(line, sizeof line, "t=%lld temp=%.2f sp=%.1f h=%d a=%d\n",
-                  static_cast<long long>(machine_.now() / sim::sec(1)),
-                  env.last_temp_c, env.setpoint_c, env.heater_on ? 1 : 0,
-                  env.alarm_on ? 1 : 0);
-    fs_client->write(log_fd, line);
-  };
-
-  // Drivers may be restarted by the reincarnation server under a new
-  // endpoint; on a dead-destination error, re-resolve by name and retry.
-  auto command = [&](Endpoint& actuator, const char* name, bool on) {
-    actuations.inc();
-    Message m;
-    m.m_type = ScenarioMTypes::kActuatorCmd;
-    m.put_i32(WireFormat::kCmdOff, on ? 1 : 0);
-    if (k.ipc_send(actuator, m) == IpcResult::kDeadSrcDst) {
-      const Endpoint fresh = k.lookup(name);
-      if (fresh.valid()) {
-        actuator = fresh;
-        k.ipc_send(actuator, m);
-      }
+    case Role::kHeater:
+    case Role::kAlarm: {
+      ActuatorLink link{k};
+      return run_actuator(link, role);
     }
-  };
-
-  for (;;) {
-    Message m;
-    if (k.ipc_receive(Endpoint::any(), m) != IpcResult::kOk) continue;
-    switch (m.m_type) {
-      case ScenarioMTypes::kSensorData: {
-        // Defence in depth: the ACM already guarantees only the sensor
-        // can send this type, but a correct implementation checks anyway.
-        if (m.source() != sensor_ep) {
-          // The sensor may have been reincarnated under a new endpoint.
-          const Endpoint fresh = k.lookup("tempSensProc");
-          if (fresh.valid()) sensor_ep = fresh;
-          if (m.source() != sensor_ep) break;
-        }
-        // Opened only after source validation so a rejected message never
-        // leaks an open span. The IPC delivery path has already set this
-        // pid's current context to the sensor's hop, so the compute span
-        // (and both actuator commands issued inside it) chain under the
-        // sample that triggered them.
-        const std::uint64_t cs = spans.begin(self, machine_.now(), tag_compute);
-        const auto d =
-            logic.on_sample(m.get_f64(WireFormat::kTempOff), machine_.now());
-        command(heater, "heaterActProc", d.heater_on);
-        command(alarm, "alarmProc", d.alarm_on);
-        machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kControl,
-                              "ctl.sample", "", logic.env().last_temp_c);
-        if (last_sample_t >= 0) {
-          const sim::Duration dt = machine_.now() - last_sample_t;
-          const sim::Duration nominal = cfg_.sensor_period;
-          const auto dev = static_cast<double>(
-              dt > nominal ? dt - nominal : nominal - dt);
-          jitter.record(dev);
-          jitter_sig.observe(machine_.now(), dev);
-        }
-        last_sample_t = machine_.now();
-        log_env();
-        spans.end(self, machine_.now(), cs);
-        break;
-      }
-      case ScenarioMTypes::kSetpoint: {
-        const bool ok = logic.try_set_setpoint(
-            m.get_f64(WireFormat::kSetpointOff), machine_.now());
-        machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kControl,
-                              ok ? "ctl.setpoint" : "ctl.setpoint_rejected",
-                              "", m.get_f64(WireFormat::kSetpointOff));
-        Message reply;
-        reply.m_type = ScenarioMTypes::kAck;
-        reply.put_i32(WireFormat::kOkOff, ok ? 1 : 0);
-        k.ipc_senda(m.source(), reply);  // async: never block on clients
-        break;
-      }
-      case ScenarioMTypes::kEnvQuery: {
-        const EnvInfo env = logic.env();
-        Message reply;
-        reply.m_type = ScenarioMTypes::kAck;
-        reply.put_f64(WireFormat::kEnvTempOff, env.last_temp_c);
-        reply.put_f64(WireFormat::kEnvSpOff, env.setpoint_c);
-        reply.put_i32(WireFormat::kEnvHeaterOff, env.heater_on ? 1 : 0);
-        reply.put_i32(WireFormat::kEnvAlarmOff, env.alarm_on ? 1 : 0);
-        k.ipc_senda(m.source(), reply);
-        break;
-      }
-      default:
-        break;  // unknown type: drop (the ACM should have stopped it)
+    case Role::kSensor: {
+      SensorLink link{k, k.wait_lookup("tempProc")};
+      return run_sensor(link);
     }
-  }
-}
-
-void MinixScenario::heater_proc() {
-  auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_apply =
-      sim::TagRegistry::instance().intern("act.apply");
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  auto e2e = machine_.metrics().log_histogram("minix.ctl.e2e_us", 4, 1e6);
-  auto e2e_sig = machine_.health().signal("minix.ctl.e2e_us");
-  const int self = machine_.current()->pid();
-  for (;;) {
-    Message m;
-    if (k.ipc_receive(Endpoint::any(), m) != IpcResult::kOk) continue;
-    if (m.m_type != ScenarioMTypes::kActuatorCmd) continue;
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_apply);
-    plant_->heater.set_on(m.get_i32(WireFormat::kCmdOff) != 0,
-                          machine_.now());
-    // Sensor-to-actuation latency measured on the span chain itself, so
-    // the histogram and the critical-path export agree exactly. The root
-    // check filters commands that were not triggered by a sample (e.g.
-    // spoofed frames, which root under an attack span instead).
-    const std::uint64_t root = spans.root_of(s);
-    if (root != 0 && spans.name_of(root) == tag_sample) {
-      const sim::Time t0 = spans.start_of(root);
-      if (t0 >= 0) {
-        e2e.record(static_cast<double>(machine_.now() - t0));
-        e2e_sig.observe(machine_.now(),
-                        static_cast<double>(machine_.now() - t0));
-      }
+    case Role::kWeb: {
+      WebLink link{k, k.wait_lookup("tempProc")};
+      return run_web(link);
     }
-    spans.end(self, machine_.now(), s);
-  }
-}
-
-void MinixScenario::alarm_proc() {
-  auto& k = *kernel_;
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_apply =
-      sim::TagRegistry::instance().intern("act.apply");
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  auto e2e = machine_.metrics().log_histogram("minix.ctl.e2e_us", 4, 1e6);
-  auto e2e_sig = machine_.health().signal("minix.ctl.e2e_us");
-  const int self = machine_.current()->pid();
-  for (;;) {
-    Message m;
-    if (k.ipc_receive(Endpoint::any(), m) != IpcResult::kOk) continue;
-    if (m.m_type != ScenarioMTypes::kActuatorCmd) continue;
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_apply);
-    plant_->alarm.set_on(m.get_i32(WireFormat::kCmdOff) != 0,
-                         machine_.now());
-    const std::uint64_t root = spans.root_of(s);
-    if (root != 0 && spans.name_of(root) == tag_sample) {
-      const sim::Time t0 = spans.start_of(root);
-      if (t0 >= 0) {
-        e2e.record(static_cast<double>(machine_.now() - t0));
-        e2e_sig.observe(machine_.now(),
-                        static_cast<double>(machine_.now() - t0));
-      }
-    }
-    spans.end(self, machine_.now(), s);
-  }
-}
-
-void MinixScenario::web_proc() {
-  auto& k = *kernel_;
-  Endpoint ctl = k.wait_lookup("tempProc");
-  bool attacked = false;
-  for (;;) {
-    // Refresh a stale endpoint after a controller reincarnation.
-    if (!k.is_live(ctl)) {
-      const Endpoint fresh = k.lookup("tempProc");
-      if (fresh.valid()) ctl = fresh;
-    }
-    if (attack_hook_ && !attacked && attack_time_ >= 0 &&
-        machine_.now() >= attack_time_) {
-      attacked = true;
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kAttack,
-                            "web.compromised", "minix");
-      attack_hook_(*this);
-    }
-    while (auto id = http_.poll()) {
-      const WebAction act = route_request(http_.request(*id));
-      switch (act.kind) {
-        case WebAction::Kind::kStatus: {
-          Message m;
-          m.m_type = ScenarioMTypes::kEnvQuery;
-          if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) {
-            http_.respond(*id, machine_.now(), render_unavailable());
-            break;
-          }
-          EnvInfo env;
-          env.last_temp_c = m.get_f64(WireFormat::kEnvTempOff);
-          env.setpoint_c = m.get_f64(WireFormat::kEnvSpOff);
-          env.heater_on = m.get_i32(WireFormat::kEnvHeaterOff) != 0;
-          env.alarm_on = m.get_i32(WireFormat::kEnvAlarmOff) != 0;
-          http_.respond(*id, machine_.now(), render_status(env));
-          break;
-        }
-        case WebAction::Kind::kSetSetpoint: {
-          Message m;
-          m.m_type = ScenarioMTypes::kSetpoint;
-          m.put_f64(WireFormat::kSetpointOff, act.setpoint_c);
-          if (k.ipc_sendrec(ctl, m) != IpcResult::kOk) {
-            http_.respond(*id, machine_.now(), render_unavailable());
-            break;
-          }
-          http_.respond(*id, machine_.now(),
-                        render_setpoint_result(
-                            m.get_i32(WireFormat::kOkOff) != 0));
-          break;
-        }
-        case WebAction::Kind::kBadRequest:
-          http_.respond(*id, machine_.now(), render_bad_request());
-          break;
-        case WebAction::Kind::kNotFound:
-          http_.respond(*id, machine_.now(), render_not_found());
-          break;
-      }
-    }
-    machine_.sleep_for(cfg_.web_poll);
   }
 }
 

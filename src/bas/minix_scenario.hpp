@@ -1,59 +1,35 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
 #include "aadl/compile.hpp"
-#include "bas/scenario.hpp"
+#include "bas/temp_program.hpp"
 #include "minix/fs.hpp"
 #include "minix/kernel.hpp"
-#include "net/http.hpp"
 
 namespace mkbas::bas {
 
-/// The temperature-control scenario on security-enhanced MINIX 3 (§IV.A).
+/// The temperature-control program on security-enhanced MINIX 3 (§IV.A).
 ///
 /// Construction mirrors the paper: the built-in AADL model is parsed and
 /// compiled into an ACM; the kernel boots with that matrix; a *scenario
 /// process* acts as loader, fork2()-ing the five processes with their
 /// ac_ids, then sealing ac_id assignment (end of the boot period) and
-/// exiting. All five bodies use only the MINIX syscall surface.
-class MinixScenario : public Scenario {
+/// exiting. The five processes run the shared program over MINIX IPC.
+class MinixScenario : public TempScenario {
  public:
   static constexpr int kLoaderAcId = 99;
 
   explicit MinixScenario(sim::Machine& machine, ScenarioConfig cfg = {});
-  ~MinixScenario() override { machine_.shutdown(); }
-
-  MinixScenario(const MinixScenario&) = delete;
-  MinixScenario& operator=(const MinixScenario&) = delete;
-
-  /// Arm a compromise of the web interface: `hook` runs once, inside the
-  /// web process, at the first poll after `when` (arbitrary code
-  /// execution in the web interface, §IV.D). Call before running.
-  void arm_web_attack(sim::Time when, std::function<void(MinixScenario&)> hook) {
-    attack_time_ = when;
-    attack_hook_ = std::move(hook);
-  }
 
   Platform platform() const override { return Platform::kMinix; }
   const char* variant() const override { return "temp"; }
-  void arm_attack(sim::Time when, AttackHook hook) override {
-    arm_web_attack(when, [hook = std::move(hook)](MinixScenario& sc) {
-      hook(sc);
-    });
-  }
   int restarts() const override { return kernel_->restarts(); }
 
   minix::MinixKernel& kernel() { return *kernel_; }
   /// Non-null when config().enable_fs_log is set.
   minix::FsServer* fs() { return fs_.get(); }
-  sim::Machine& machine() override { return machine_; }
-  net::HttpConsole& http() override { return http_; }
-  Plant* plant() override { return plant_.get(); }
-  const aadl::CompiledSystem& system() const { return system_; }
-  const ScenarioConfig& config() const { return cfg_; }
 
   /// Endpoint of a scenario process by its AADL instance name.
   minix::Endpoint endpoint_of(const std::string& instance) const {
@@ -62,21 +38,11 @@ class MinixScenario : public Scenario {
 
  private:
   void loader_proc();
-  void sensor_proc();
-  void control_proc();
-  void heater_proc();
-  void alarm_proc();
-  void web_proc();
+  void run_process(Role role);
 
-  sim::Machine& machine_;
-  ScenarioConfig cfg_;
   aadl::CompiledSystem system_;
-  std::unique_ptr<Plant> plant_;
-  std::unique_ptr<minix::MinixKernel> kernel_;
   std::unique_ptr<minix::FsServer> fs_;
-  net::HttpConsole http_;
-  sim::Time attack_time_ = -1;
-  std::function<void(MinixScenario&)> attack_hook_;
+  std::unique_ptr<minix::MinixKernel> kernel_;  // last: see ScenarioBase
 };
 
 }  // namespace mkbas::bas

@@ -14,30 +14,18 @@
 namespace mkbas::bas {
 
 /// The three platforms of the paper's comparison. Lives in bas (not core)
-/// so the scenario registry and the attack drivers can dispatch on it
+/// so the scenario table and the attack drivers can dispatch on it
 /// without a layering cycle; core aliases it.
 enum class Platform { kMinix, kSel4, kLinux };
 
 const char* to_string(Platform p);
-
-/// Tunables of the BSL-3 containment controller (EXT1). Part of the
-/// shared ScenarioConfig so the registry can build the "bsl3" variant
-/// from the same configuration object as the temperature scenarios.
-struct Bsl3Config {
-  double target_lab_pa = -30.0;      // design negative pressure
-  double breach_threshold_pa = -5.0; // "loss of containment" line
-  sim::Duration alarm_delay = sim::sec(30);
-  sim::Duration sample_period = sim::sec(1);
-  sim::Duration door_open_time = sim::sec(10);
-  physics::ContainmentModel::Params model{};
-};
 
 /// Policy ablation: the ACM generated from the model, or a permissive
 /// matrix standing in for a legacy flat controller (everything may talk
 /// to everything) — the "before" picture of the paper's framework.
 enum class Bsl3Policy { kAcmEnforced, kPermissive };
 
-/// Configuration shared by every scenario the registry can build (§IV).
+/// Configuration shared by every scenario make_scenario can build (§IV).
 struct ScenarioConfig {
   ControlConfig control{};
   sim::Duration sensor_period = sim::sec(1);
@@ -121,7 +109,7 @@ class Scenario {
   virtual ~Scenario() = default;
 
   virtual Platform platform() const = 0;
-  /// Registry variant this scenario was built as ("temp", "uds", "bsl3").
+  /// Variant this scenario was built as ("temp", "uds", "bsl3").
   virtual const char* variant() const = 0;
   virtual sim::Machine& machine() = 0;
   virtual net::HttpConsole& http() = 0;
@@ -135,25 +123,15 @@ class Scenario {
   virtual int restarts() const { return 0; }
 };
 
-/// Factory signature a registry entry provides.
-using ScenarioFactory = std::unique_ptr<Scenario> (*)(sim::Machine&,
-                                                      const ScenarioConfig&);
-
-/// Register a (platform, variant) scenario constructor. The six built-in
-/// scenarios are pre-registered; extensions may add their own variants
-/// before the first make_scenario call that needs them.
-void register_scenario(Platform platform, const std::string& variant,
-                       ScenarioFactory factory);
-
 /// Build a scenario on `machine`. Variant "" means "temp". Throws
-/// std::invalid_argument for a (platform, variant) pair nobody
-/// registered (e.g. "uds" on MINIX).
+/// std::invalid_argument for a (platform, variant) pair the fixed table
+/// does not have (e.g. "uds" on MINIX).
 std::unique_ptr<Scenario> make_scenario(sim::Machine& machine,
                                         Platform platform,
                                         const std::string& variant,
                                         const ScenarioConfig& cfg = {});
 
-/// Variants registered for `platform`, sorted (for usage/error messages).
+/// Variants `platform` offers, sorted (for usage/error messages).
 std::vector<std::string> scenario_variants(Platform platform);
 
 }  // namespace mkbas::bas

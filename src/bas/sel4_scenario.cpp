@@ -1,10 +1,8 @@
 #include "bas/sel4_scenario.hpp"
 
-#include <stdexcept>
+#include <optional>
 
-#include "aadl/parser.hpp"
 #include "aadl/scenario_model.hpp"
-#include "bas/web_logic.hpp"
 
 namespace mkbas::bas {
 
@@ -14,36 +12,106 @@ using sel4::Sel4Msg;
 
 namespace {
 
-aadl::CompiledSystem compile_builtin() {
-  aadl::Parser parser(aadl::temp_control_aadl());
-  const aadl::Model model = parser.parse();
-  std::vector<aadl::Diagnostic> diags;
-  auto sys = aadl::compile(model, "TempControl.impl", diags);
-  if (!sys.has_value()) {
-    throw std::runtime_error("builtin scenario model failed to compile: " +
-                             (diags.empty() ? "?" : diags[0].message));
+struct SensorLink {
+  Runtime& rt;
+  void send(double t) {
+    Sel4Msg msg;
+    msg.push_f64(t);
+    rt.rpc_call("sensorOut", msg);  // server acks promptly
   }
-  return *sys;
-}
+};
+
+/// The controller is an RPC server: it answers every call, and it
+/// releases the sensor before making its own actuator calls.
+struct ControlLink {
+  Runtime& rt;
+
+  template <class OnSample, class OnSetpoint, class Env>
+  void serve(OnSample on_sample, OnSetpoint on_setpoint, Env env) {
+    for (;;) {
+      const auto in = rt.await();
+      if (in.status != Sel4Error::kOk) continue;
+      Sel4Msg rep;
+      if (in.iface == "sensorIn") {
+        on_sample(in.msg.mr_f64(0));  // acks through ack_sample()
+        continue;
+      }
+      if (in.iface == "setpointIn") {
+        rep.push(on_setpoint(in.msg.mr_f64(0)) ? 1 : 0);
+      } else if (in.iface == "envIn") {
+        const EnvInfo e = env();
+        rep.push_f64(e.last_temp_c);
+        rep.push_f64(e.setpoint_c);
+        rep.push(e.heater_on ? 1 : 0);
+        rep.push(e.alarm_on ? 1 : 0);
+      }
+      rt.reply(rep);  // unknown interfaces get an empty ack
+    }
+  }
+  void ack_sample() { rt.reply(Sel4Msg{}); }
+  void command(TempScenario::Role which, bool on) {
+    Sel4Msg cmd;
+    cmd.push(on ? 1 : 0);
+    rt.rpc_call(which == TempScenario::Role::kHeater ? "heaterCmd"
+                                                     : "alarmCmd",
+                cmd);
+  }
+  void sampled(const EnvInfo&) {}
+};
+
+struct ActuatorLink {
+  Runtime& rt;
+
+  template <class Apply>
+  void serve(Apply apply) {
+    for (;;) {
+      const auto in = rt.await();
+      if (in.status != Sel4Error::kOk) continue;
+      apply(in.msg.mr(0) != 0);
+      rt.reply(Sel4Msg{});
+    }
+  }
+};
+
+struct WebLink {
+  Runtime& rt;
+  void refresh() {}
+  bool query_env(EnvInfo* env) {
+    Sel4Msg msg;
+    if (rt.rpc_call("envQuery", msg) != Sel4Error::kOk) return false;
+    env->last_temp_c = msg.mr_f64(0);
+    env->setpoint_c = msg.mr_f64(1);
+    env->heater_on = msg.mr(2) != 0;
+    env->alarm_on = msg.mr(3) != 0;
+    return true;
+  }
+  std::optional<bool> set_setpoint(double sp) {
+    Sel4Msg msg;
+    msg.push_f64(sp);
+    if (rt.rpc_call("setpointOut", msg) != Sel4Error::kOk) {
+      return std::nullopt;
+    }
+    return msg.mr(0) != 0;
+  }
+};
 
 }  // namespace
 
 Sel4Scenario::Sel4Scenario(sim::Machine& machine, ScenarioConfig cfg)
-    : machine_(machine), cfg_(cfg), system_(compile_builtin()) {
-  plant_ = std::make_unique<Plant>(machine_, cfg_);
+    : TempScenario(machine, cfg, "sel4") {
   camkes_ = std::make_unique<camkes::CamkesSystem>(machine_);
 
   std::map<std::string, std::function<void(Runtime&)>> bodies;
-  bodies["tempSensProc"] = [this](Runtime& rt) { sensor_body(rt); };
-  bodies["tempProc"] = [this](Runtime& rt) { control_body(rt); };
-  bodies["heaterActProc"] = [this](Runtime& rt) { heater_body(rt); };
-  bodies["alarmProc"] = [this](Runtime& rt) { alarm_body(rt); };
-  bodies["webInterface"] = [this](Runtime& rt) { web_body(rt); };
-  const std::map<std::string, int> priorities = {
-      {"tempSensProc", 5}, {"tempProc", 6},     {"heaterActProc", 5},
-      {"alarmProc", 5},    {"webInterface", 8},
-  };
-  camkes_->load_compiled_system(system_, bodies, priorities);
+  std::map<std::string, int> priorities;
+  for (const Process& p : kProcesses) {
+    bodies[p.name] = [this, role = p.role](Runtime& rt) {
+      run_process(role, rt);
+    };
+    priorities[p.name] = p.priority;
+  }
+  camkes_->load_compiled_system(
+      compile_model(aadl::temp_control_aadl(), "TempControl.impl"), bodies,
+      priorities);
 
   // "We also added two additional timer driver processes for
   // demonstration purposes" (§IV.B): a periodic tick source and a
@@ -70,193 +138,25 @@ Sel4Scenario::Sel4Scenario(sim::Machine& machine, ScenarioConfig cfg)
   camkes_->instantiate();
 }
 
-void Sel4Scenario::sensor_body(Runtime& rt) {
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  const int self = machine_.current()->pid();
-  for (;;) {
-    // Root of the control-loop trace (see the MINIX scenario).
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_sample);
-    const double t = plant_->sensor.read_temperature_c();
-    machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kDevice,
-                          "sensor.sample", "", t);
-    Sel4Msg msg;
-    msg.push_f64(t);
-    rt.rpc_call("sensorOut", msg);  // server acks promptly
-    spans.end(self, machine_.now(), s);
-    machine_.sleep_for(cfg_.sensor_period);
-  }
-}
-
-void Sel4Scenario::control_body(Runtime& rt) {
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_compute =
-      sim::TagRegistry::instance().intern("ctl.compute");
-  const int self = machine_.current()->pid();
-  TempControlLogic logic(cfg_.control);
-  // Control-quality metrics (see the MINIX scenario for the definition).
-  auto jitter = machine_.metrics().log_histogram("sel4.ctl.jitter", 4, 1e6);
-  auto jitter_sig = machine_.health().signal("sel4.ctl.jitter");
-  auto actuations = machine_.metrics().counter("sel4.ctl.actuations");
-  sim::Time last_sample_t = -1;
-  for (;;) {
-    auto in = rt.await();
-    if (in.status != Sel4Error::kOk) continue;
-    if (in.iface == "sensorIn") {
-      // Chains under the sensor's endpoint hop (delivery set this pid's
-      // current context); the actuator RPCs below chain under it in turn.
-      const std::uint64_t cs = spans.begin(self, machine_.now(), tag_compute);
-      const auto d = logic.on_sample(in.msg.mr_f64(0), machine_.now());
-      rt.reply(Sel4Msg{});  // release the sensor before actuating
-      Sel4Msg heater;
-      heater.push(d.heater_on ? 1 : 0);
-      rt.rpc_call("heaterCmd", heater);
-      actuations.inc();
-      Sel4Msg alarm;
-      alarm.push(d.alarm_on ? 1 : 0);
-      rt.rpc_call("alarmCmd", alarm);
-      actuations.inc();
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kControl,
-                            "ctl.sample", "", logic.env().last_temp_c);
-      if (last_sample_t >= 0) {
-        const sim::Duration dt = machine_.now() - last_sample_t;
-        const sim::Duration nominal = cfg_.sensor_period;
-        const auto dev = static_cast<double>(
-            dt > nominal ? dt - nominal : nominal - dt);
-        jitter.record(dev);
-        jitter_sig.observe(machine_.now(), dev);
-      }
-      last_sample_t = machine_.now();
-      spans.end(self, machine_.now(), cs);
-    } else if (in.iface == "setpointIn") {
-      const double sp = in.msg.mr_f64(0);
-      const bool ok = logic.try_set_setpoint(sp, machine_.now());
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kControl,
-                            ok ? "ctl.setpoint" : "ctl.setpoint_rejected",
-                            "", sp);
-      Sel4Msg rep;
-      rep.push(ok ? 1 : 0);
-      rt.reply(rep);
-    } else if (in.iface == "envIn") {
-      const EnvInfo env = logic.env();
-      Sel4Msg rep;
-      rep.push_f64(env.last_temp_c);
-      rep.push_f64(env.setpoint_c);
-      rep.push(env.heater_on ? 1 : 0);
-      rep.push(env.alarm_on ? 1 : 0);
-      rt.reply(rep);
-    } else {
-      rt.reply(Sel4Msg{});  // unknown interface: ack and ignore
+void Sel4Scenario::run_process(Role role, Runtime& rt) {
+  switch (role) {
+    case Role::kControl: {
+      ControlLink link{rt};
+      return run_control(link);
     }
-  }
-}
-
-void Sel4Scenario::heater_body(Runtime& rt) {
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_apply =
-      sim::TagRegistry::instance().intern("act.apply");
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  auto e2e = machine_.metrics().log_histogram("sel4.ctl.e2e_us", 4, 1e6);
-  auto e2e_sig = machine_.health().signal("sel4.ctl.e2e_us");
-  const int self = machine_.current()->pid();
-  for (;;) {
-    auto in = rt.await();
-    if (in.status != Sel4Error::kOk) continue;
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_apply);
-    plant_->heater.set_on(in.msg.mr(0) != 0, machine_.now());
-    // Sensor-to-actuation latency measured on the span chain itself (see
-    // the MINIX scenario for why the root check matters).
-    const std::uint64_t root = spans.root_of(s);
-    if (root != 0 && spans.name_of(root) == tag_sample) {
-      const sim::Time t0 = spans.start_of(root);
-      if (t0 >= 0) {
-        e2e.record(static_cast<double>(machine_.now() - t0));
-        e2e_sig.observe(machine_.now(),
-                        static_cast<double>(machine_.now() - t0));
-      }
+    case Role::kHeater:
+    case Role::kAlarm: {
+      ActuatorLink link{rt};
+      return run_actuator(link, role);
     }
-    spans.end(self, machine_.now(), s);
-    rt.reply(Sel4Msg{});
-  }
-}
-
-void Sel4Scenario::alarm_body(Runtime& rt) {
-  auto& spans = machine_.spans();
-  const std::uint32_t tag_apply =
-      sim::TagRegistry::instance().intern("act.apply");
-  const std::uint32_t tag_sample =
-      sim::TagRegistry::instance().intern("sensor.sample");
-  auto e2e = machine_.metrics().log_histogram("sel4.ctl.e2e_us", 4, 1e6);
-  auto e2e_sig = machine_.health().signal("sel4.ctl.e2e_us");
-  const int self = machine_.current()->pid();
-  for (;;) {
-    auto in = rt.await();
-    if (in.status != Sel4Error::kOk) continue;
-    const std::uint64_t s = spans.begin(self, machine_.now(), tag_apply);
-    plant_->alarm.set_on(in.msg.mr(0) != 0, machine_.now());
-    const std::uint64_t root = spans.root_of(s);
-    if (root != 0 && spans.name_of(root) == tag_sample) {
-      const sim::Time t0 = spans.start_of(root);
-      if (t0 >= 0) {
-        e2e.record(static_cast<double>(machine_.now() - t0));
-        e2e_sig.observe(machine_.now(),
-                        static_cast<double>(machine_.now() - t0));
-      }
+    case Role::kSensor: {
+      SensorLink link{rt};
+      return run_sensor(link);
     }
-    spans.end(self, machine_.now(), s);
-    rt.reply(Sel4Msg{});
-  }
-}
-
-void Sel4Scenario::web_body(Runtime& rt) {
-  bool attacked = false;
-  for (;;) {
-    if (attack_hook_ && !attacked && attack_time_ >= 0 &&
-        machine_.now() >= attack_time_) {
-      attacked = true;
-      machine_.trace().emit(machine_.now(), -1, sim::TraceKind::kAttack,
-                            "web.compromised", "sel4");
-      attack_hook_(*this, rt);
+    case Role::kWeb: {
+      WebLink link{rt};
+      return run_web(link, &rt);
     }
-    while (auto id = http_.poll()) {
-      const WebAction act = route_request(http_.request(*id));
-      switch (act.kind) {
-        case WebAction::Kind::kStatus: {
-          Sel4Msg msg;
-          if (rt.rpc_call("envQuery", msg) != Sel4Error::kOk) {
-            http_.respond(*id, machine_.now(), render_unavailable());
-            break;
-          }
-          EnvInfo env;
-          env.last_temp_c = msg.mr_f64(0);
-          env.setpoint_c = msg.mr_f64(1);
-          env.heater_on = msg.mr(2) != 0;
-          env.alarm_on = msg.mr(3) != 0;
-          http_.respond(*id, machine_.now(), render_status(env));
-          break;
-        }
-        case WebAction::Kind::kSetSetpoint: {
-          Sel4Msg msg;
-          msg.push_f64(act.setpoint_c);
-          if (rt.rpc_call("setpointOut", msg) != Sel4Error::kOk) {
-            http_.respond(*id, machine_.now(), render_unavailable());
-            break;
-          }
-          http_.respond(*id, machine_.now(),
-                        render_setpoint_result(msg.mr(0) != 0));
-          break;
-        }
-        case WebAction::Kind::kBadRequest:
-          http_.respond(*id, machine_.now(), render_bad_request());
-          break;
-        case WebAction::Kind::kNotFound:
-          http_.respond(*id, machine_.now(), render_not_found());
-          break;
-      }
-    }
-    machine_.sleep_for(cfg_.web_poll);
   }
 }
 

@@ -1,83 +1,40 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 
-#include "aadl/compile.hpp"
-#include "bas/scenario.hpp"
+#include "bas/temp_program.hpp"
 #include "camkes/camkes.hpp"
-#include "net/http.hpp"
 
 namespace mkbas::bas {
 
-/// The temperature-control scenario on seL4 via CAmkES (§IV.B).
+/// The temperature-control program on seL4 via CAmkES (§IV.B).
 ///
 /// The built-in AADL model is translated to a CAmkES assembly (the
 /// source-to-source step the paper began and we complete); the generated
 /// bootstrap distributes exactly the CapDL-specified capabilities and
 /// resumes the components. Every connection is an RPC (seL4RPCCall), with
 /// the untrusted web interface strictly a client of the control process.
-class Sel4Scenario : public Scenario {
+class Sel4Scenario : public TempScenario {
  public:
   explicit Sel4Scenario(sim::Machine& machine, ScenarioConfig cfg = {});
-  ~Sel4Scenario() override { machine_.shutdown(); }
-
-  Sel4Scenario(const Sel4Scenario&) = delete;
-  Sel4Scenario& operator=(const Sel4Scenario&) = delete;
-
-  /// Arm a compromise of the web interface (arbitrary code execution in
-  /// the web component, §IV.D.3). The hook receives this scenario plus
-  /// the component's own CAmkES runtime — exactly the authority a real
-  /// attacker in that component would hold.
-  void arm_web_attack(
-      sim::Time when,
-      std::function<void(Sel4Scenario&, camkes::Runtime&)> hook) {
-    attack_time_ = when;
-    attack_hook_ = std::move(hook);
-  }
 
   Platform platform() const override { return Platform::kSel4; }
   const char* variant() const override { return "temp"; }
-  void arm_attack(sim::Time when, AttackHook hook) override {
-    arm_web_attack(when, [hook = std::move(hook)](Sel4Scenario& sc,
-                                                  camkes::Runtime& rt) {
-      sc.attack_runtime_ = &rt;
-      hook(sc);
-      sc.attack_runtime_ = nullptr;
-    });
-  }
   int restarts() const override { return camkes_->restarts(); }
-  /// The compromised component's runtime, non-null only while a generic
-  /// arm_attack hook is executing (attack payloads downcast and use it).
+  /// The compromised web component's runtime, non-null only while an
+  /// armed attack hook runs (attack payloads downcast and use it).
   camkes::Runtime* attack_runtime() { return attack_runtime_; }
 
   camkes::CamkesSystem& camkes() { return *camkes_; }
   sel4::Sel4Kernel& kernel() { return camkes_->kernel(); }
-  sim::Machine& machine() override { return machine_; }
-  net::HttpConsole& http() override { return http_; }
-  Plant* plant() override { return plant_.get(); }
-  const aadl::CompiledSystem& system() const { return system_; }
-  const ScenarioConfig& config() const { return cfg_; }
   /// Ticks observed by the demonstration timer pair (§IV.B).
   long timer_ticks() const { return timer_ticks_; }
 
  private:
-  void sensor_body(camkes::Runtime& rt);
-  void control_body(camkes::Runtime& rt);
-  void heater_body(camkes::Runtime& rt);
-  void alarm_body(camkes::Runtime& rt);
-  void web_body(camkes::Runtime& rt);
+  void run_process(Role role, camkes::Runtime& rt);
 
-  sim::Machine& machine_;
-  ScenarioConfig cfg_;
-  aadl::CompiledSystem system_;
-  std::unique_ptr<Plant> plant_;
-  std::unique_ptr<camkes::CamkesSystem> camkes_;
-  net::HttpConsole http_;
   long timer_ticks_ = 0;
-  sim::Time attack_time_ = -1;
-  std::function<void(Sel4Scenario&, camkes::Runtime&)> attack_hook_;
-  camkes::Runtime* attack_runtime_ = nullptr;
+  std::unique_ptr<camkes::CamkesSystem> camkes_;  // last: see ScenarioBase
 };
 
 }  // namespace mkbas::bas

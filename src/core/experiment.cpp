@@ -16,7 +16,7 @@ using attack::Privilege;
 namespace {
 
 /// Fold the driver-level knobs (quota ablation, Linux account split) into
-/// the ScenarioConfig the registry factories read. Fields a platform does
+/// the ScenarioConfig the scenario factories read. Fields a platform does
 /// not consult are ignored by its factory, so setting them is harmless.
 bas::ScenarioConfig effective_config(Platform platform,
                                      const RunOptions& opts) {

@@ -13,7 +13,7 @@
 namespace mkbas::core {
 
 /// The three platforms of the paper's comparison. The enum itself lives
-/// with the scenario registry; core re-exports it so existing callers
+/// with the scenario table; core re-exports it so existing callers
 /// keep spelling core::Platform.
 using Platform = bas::Platform;
 using bas::to_string;
@@ -21,7 +21,7 @@ using bas::to_string;
 /// Parameters shared by benign and attack runs.
 struct RunOptions {
   bas::ScenarioConfig scenario{};
-  /// Which registered scenario variant to instantiate ("temp", "uds", ...).
+  /// Which scenario variant to instantiate ("temp", "uds", ...).
   std::string scenario_variant = "temp";
   sim::Duration settle = sim::minutes(12);  // before the compromise
   sim::Duration post = sim::minutes(20);    // after the compromise

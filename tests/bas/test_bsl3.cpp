@@ -159,8 +159,8 @@ TEST(Bsl3, AcmContainsACompromisedManagementInterface) {
   sim::Machine m;
   Bsl3Scenario sc(m);
   int denials = 0, deliveries = 0;
-  sc.arm_mgmt_attack(sim::minutes(10), [&](Bsl3Scenario& s) {
-    bsl3_attack(s, &denials, &deliveries);
+  sc.arm_attack(sim::minutes(10), [&](bas::Scenario& s) {
+    bsl3_attack(static_cast<Bsl3Scenario&>(s), &denials, &deliveries);
   });
   m.run_until(sim::minutes(25));
   EXPECT_EQ(deliveries, 0);  // every injection dropped by the kernel
@@ -209,8 +209,9 @@ TEST(Bsl3Sel4, CompromisedMgmtHoldsOnlyItsTwoCaps) {
   bas::Bsl3Sel4Scenario sc(m);
   int caps_found = -1;
   int foreign_calls_ok = 0;
-  sc.arm_mgmt_attack(sim::minutes(10), [&](bas::Bsl3Sel4Scenario& s,
-                                           mkbas::camkes::Runtime& rt) {
+  sc.arm_attack(sim::minutes(10), [&](bas::Scenario& s) {
+    mkbas::camkes::Runtime& rt =
+        *static_cast<bas::Bsl3Sel4Scenario&>(s).attack_runtime();
     caps_found = static_cast<int>(rt.enumerate_own_caps().size());
     mkbas::sel4::Sel4Msg stop_fan;
     stop_fan.push_f64(0.0);
@@ -222,7 +223,6 @@ TEST(Bsl3Sel4, CompromisedMgmtHoldsOnlyItsTwoCaps) {
     if (rt.rpc_call("presOut", fake) == mkbas::sel4::Sel4Error::kOk) {
       ++foreign_calls_ok;
     }
-    (void)s;
   });
   m.run_until(sim::minutes(25));
   EXPECT_EQ(caps_found, 2);  // doorReq + envQuery
@@ -239,8 +239,8 @@ TEST(Bsl3, PermissivePolicyLosesContainment) {
   sim::Machine m;
   Bsl3Scenario sc(m, {}, Bsl3Policy::kPermissive);
   int denials = 0, deliveries = 0;
-  sc.arm_mgmt_attack(sim::minutes(10), [&](Bsl3Scenario& s) {
-    bsl3_attack(s, &denials, &deliveries);
+  sc.arm_attack(sim::minutes(10), [&](bas::Scenario& s) {
+    bsl3_attack(static_cast<Bsl3Scenario&>(s), &denials, &deliveries);
   });
   m.run_until(sim::minutes(25));
   EXPECT_GT(deliveries, 100);

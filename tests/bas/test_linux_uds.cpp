@@ -70,7 +70,8 @@ TEST(LinuxUds, SharedAccountSpoofCompromises) {
   // nothing authenticates the sender.
   sim::Machine m;
   LinuxUdsScenario sc(m);
-  sc.arm_web_attack(sim::minutes(12), [](LinuxUdsScenario& s) {
+  sc.arm_attack(sim::minutes(12), [](bas::Scenario& base) {
+    auto& s = static_cast<LinuxUdsScenario&>(base);
     auto& k = s.kernel();
     const int fd = s.connect_service(LinuxUdsScenario::kCtlSock,
                                      LinuxUdsScenario::kCtlAbstract);
@@ -90,7 +91,8 @@ TEST(LinuxUds, AclOnFilesystemSocketBlocksNonRootSpoof) {
   sim::Machine m;
   LinuxUdsScenario sc(m, {}, LinuxUdsScenario::Accounts::kSeparate);
   int attacker_fd = 0;
-  sc.arm_web_attack(sim::minutes(12), [&](LinuxUdsScenario& s) {
+  sc.arm_attack(sim::minutes(12), [&](bas::Scenario& base) {
+    auto& s = static_cast<LinuxUdsScenario&>(base);
     // The web account may connect to the control socket (it is a
     // legitimate client) — but NOT to the heater's.
     attacker_fd = s.kernel().sock_connect(LinuxUdsScenario::kHeaterSock);
@@ -104,7 +106,8 @@ TEST(LinuxUds, RootConnectsToActuatorsAnyway) {
   sim::Machine m;
   LinuxUdsScenario sc(m, {}, LinuxUdsScenario::Accounts::kSeparate);
   int attacker_fd = -1;
-  sc.arm_web_attack(sim::minutes(12), [&](LinuxUdsScenario& s) {
+  sc.arm_attack(sim::minutes(12), [&](bas::Scenario& base) {
+    auto& s = static_cast<LinuxUdsScenario&>(base);
     s.kernel().exploit_escalate_to_root();
     attacker_fd = s.kernel().sock_connect(LinuxUdsScenario::kHeaterSock);
     if (attacker_fd >= 0) {
@@ -130,7 +133,8 @@ TEST(LinuxUds, AbstractNameSquattingHijacksTheControlService) {
   LinuxUdsScenario sc(m, {}, LinuxUdsScenario::Accounts::kShared,
                       LinuxUdsScenario::Namespace::kAbstract);
   int hijacked_messages = 0;
-  sc.arm_web_attack(sim::minutes(12), [&](LinuxUdsScenario& s) {
+  sc.arm_attack(sim::minutes(12), [&](bas::Scenario& base) {
+    auto& s = static_cast<LinuxUdsScenario&>(base);
     auto& k = s.kernel();
     // 1. Kill the real control process (allowed: same uid).
     ASSERT_EQ(k.sys_kill(s.pid_of("tempProc")), lx::Errno::kOk);
