@@ -171,6 +171,28 @@ std::string ExperimentRequest::cell_key_hex() const {
 
 std::string ExperimentRequest::validate() const {
   if (scenario.empty()) return "'scenario': must not be empty";
+  // Fail closed on a variant some platform this mode builds lacks: the
+  // single-platform modes build `platform`, the comparison modes (matrix,
+  // fabric and the matrix/fault/fabric campaigns) build all three.
+  const bool single = mode == RequestMode::kBenign ||
+                      mode == RequestMode::kAttack ||
+                      mode == RequestMode::kFault ||
+                      mode == RequestMode::kCampaignSweep;
+  for (const bas::Platform p :
+       {bas::Platform::kMinix, bas::Platform::kSel4, bas::Platform::kLinux}) {
+    if (single && p != platform) continue;
+    const std::vector<std::string> known = bas::scenario_variants(p);
+    if (std::find(known.begin(), known.end(), scenario) != known.end()) {
+      continue;
+    }
+    std::string expected;
+    for (const std::string& v : known) {
+      expected += (expected.empty() ? "" : "|") + v;
+    }
+    return "'scenario': unknown value '" + scenario + "' for platform " +
+           platform_name(p) + " (expected " + expected + ")" +
+           did_you_mean(scenario, known);
+  }
   if (zones < 1) return "'zones': must be >= 1";
   if (seeds < 1) return "'seeds': must be >= 1";
   if (floors < 1) return "'floors': must be >= 1";

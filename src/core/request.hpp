@@ -107,7 +107,7 @@ const char* platform_name(bas::Platform p);
 struct ExperimentRequest {
   RequestMode mode = RequestMode::kBenign;
   bas::Platform platform = bas::Platform::kMinix;
-  std::string scenario = "temp";   // registered scenario variant
+  std::string scenario = "temp";   // bas::scenario_variants(platform)
   std::uint64_t seed = 1;
   int zones = 4;                   // fabric / campaign.fabric
   int seeds = 8;                   // campaign.sweep: sweep width

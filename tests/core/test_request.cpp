@@ -221,6 +221,42 @@ TEST(RequestParse, ValidationRunsAfterParsing) {
             std::string::npos);
 }
 
+TEST(RequestParse, UnknownScenarioVariantFailsClosed) {
+  // No MINIX "nope" and no seL4 "uds": a field-level error with the
+  // platform's variants, never a cell that can only throw at run time.
+  const std::string nope = parse_error("{\"scenario\":\"nope\"}");
+  EXPECT_NE(nope.find("'scenario'"), std::string::npos) << nope;
+  EXPECT_NE(nope.find("minix"), std::string::npos) << nope;
+  EXPECT_NE(nope.find("bsl3|temp"), std::string::npos) << nope;
+  EXPECT_NE(parse_error("{\"platform\":\"sel4\",\"scenario\":\"uds\"}")
+                .find("'scenario'"),
+            std::string::npos);
+  EXPECT_NE(parse_error("{\"scenario\":\"tmp\"}").find("did you mean 'temp'"),
+            std::string::npos);
+  // The comparison modes build every platform: "uds" exists on Linux only.
+  EXPECT_NE(parse_error("{\"mode\":\"matrix\",\"scenario\":\"uds\"}")
+                .find("'scenario'"),
+            std::string::npos);
+  // Variants the platform does have still parse.
+  EXPECT_EQ(parse_or_die("{\"platform\":\"linux\",\"scenario\":\"uds\"}")
+                .scenario,
+            "uds");
+  EXPECT_EQ(parse_or_die("{\"platform\":\"sel4\",\"scenario\":\"bsl3\"}")
+                .scenario,
+            "bsl3");
+}
+
+TEST(RequestFromCli, UnknownScenarioVariantIsAValidationError) {
+  core::ExperimentRequest r;
+  std::string err;
+  const char* argv[] = {"x", "benign", "--platform", "minix", "--scenario",
+                        "nope"};
+  const auto a = core::parse_cli(6, const_cast<char**>(argv));
+  ASSERT_TRUE(a.error.empty()) << a.error;
+  EXPECT_FALSE(core::request_from_cli(a, &r, &err));
+  EXPECT_NE(err.find("'scenario'"), std::string::npos) << err;
+}
+
 TEST(RequestParse, DefaultsApplyForAbsentFields) {
   const auto r = parse_or_die("{\"mode\":\"fabric\",\"zones\":9}");
   EXPECT_EQ(r.mode, core::RequestMode::kFabric);

@@ -206,6 +206,17 @@ TEST(Daemon, InvalidModeCombinationIs400NotACell) {
   EXPECT_EQ(d.store().size(), 0u);
 }
 
+TEST(Daemon, UnknownScenarioVariantIs400NotACell) {
+  serve::DaemonOptions opts;
+  serve::Daemon d(opts);
+  // seL4 has no "uds" build: rejected up front, no execution spent.
+  auto r = d.handle(make_req(
+      "POST", "/run", "{\"platform\":\"sel4\",\"scenario\":\"uds\"}"));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_TRUE(contains(r.body, "scenario")) << r.body;
+  EXPECT_EQ(d.store().size(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Full loopback exercise over real sockets.
 
