@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -14,8 +13,6 @@ namespace mkbas::physics {
 /// three words, so the per-sub-step evaluation inside the thermal model
 /// is a branch and some arithmetic instead of a std::function indirect
 /// call (which also blocked vectorising the batched RoomBank step).
-/// Arbitrary profiles still exist through the std::function adapter on
-/// RoomModel (set_outdoor_profile / make_profile).
 struct OutdoorSpec {
   enum class Kind : std::uint8_t { kConstant, kDiurnal };
 
@@ -60,11 +57,6 @@ class RoomModel {
     double initial_temp_c = 18.0;
   };
 
-  /// Returns the outdoor temperature [C] at a simulated time. Legacy
-  /// adapter type: custom profiles only — the built-in shapes are
-  /// OutdoorSpec, evaluated without the indirect call.
-  using OutdoorProfile = std::function<double(sim::Time)>;
-
   RoomModel() : RoomModel(Params{}) {}
   explicit RoomModel(Params params)
       : params_(params), temp_c_(params.initial_temp_c) {}
@@ -81,20 +73,12 @@ class RoomModel {
   void set_disturbance_w(double w) { disturbance_w_ = w; }
   double disturbance_w() const { return disturbance_w_; }
 
-  /// Use a plain-data outdoor profile (the fast path). Clears any custom
-  /// std::function profile.
-  void set_outdoor(OutdoorSpec spec) {
-    outdoor_spec_ = spec;
-    outdoor_custom_ = nullptr;
-  }
+  /// Outdoor temperature profile (default: constant 10 C).
+  void set_outdoor(OutdoorSpec spec) { outdoor_spec_ = spec; }
   const OutdoorSpec& outdoor_spec() const { return outdoor_spec_; }
 
-  /// Adapter for arbitrary profiles. An empty function falls back to the
-  /// current OutdoorSpec (default: constant 10 C, as always).
-  void set_outdoor_profile(OutdoorProfile p) { outdoor_custom_ = std::move(p); }
-
   double outdoor_temp_c(sim::Time now) const {
-    return outdoor_custom_ ? outdoor_custom_(now) : outdoor_spec_.eval(now);
+    return outdoor_spec_.eval(now);
   }
 
   /// Steady-state temperature for a constant heater input (useful for
@@ -110,19 +94,8 @@ class RoomModel {
   Params params_;
   double temp_c_;
   double disturbance_w_ = 0.0;
-  OutdoorSpec outdoor_spec_{};     // default: constant 10 C
-  OutdoorProfile outdoor_custom_;  // overrides the spec when non-empty
+  OutdoorSpec outdoor_spec_{};  // default: constant 10 C
 };
-
-/// Constant outdoor temperature profile (std::function adapter over
-/// OutdoorSpec, for call sites that want the legacy interface).
-RoomModel::OutdoorProfile constant_outdoor(double temp_c);
-
-/// Sinusoidal diurnal profile: mean +/- swing over a 24h simulated period.
-RoomModel::OutdoorProfile diurnal_outdoor(double mean_c, double swing_c);
-
-/// Wrap any OutdoorSpec in the legacy std::function interface.
-RoomModel::OutdoorProfile make_profile(OutdoorSpec spec);
 
 /// Struct-of-arrays batch of room thermal models, stepped in one pass.
 ///

@@ -128,18 +128,4 @@ TEST(RoomBank, EmptyAndZeroDtAreNoOps) {
   EXPECT_TRUE(bit_equal(before, bank.temperature_c(i)));
 }
 
-TEST(RoomBank, OutdoorSpecMatchesLegacyProfiles) {
-  // The OutdoorSpec evaluation must reproduce the legacy std::function
-  // profiles bit-for-bit — scenarios switched from one to the other.
-  const auto legacy_const = physics::constant_outdoor(7.5);
-  const auto legacy_diurnal = physics::diurnal_outdoor(9.0, 4.0);
-  const auto spec_const = physics::OutdoorSpec::constant(7.5);
-  const auto spec_diurnal = physics::OutdoorSpec::diurnal(9.0, 4.0);
-  for (std::int64_t h = 0; h < 48; ++h) {
-    const sim::Time t = sim::minutes(h * 60 + 17);
-    EXPECT_TRUE(bit_equal(legacy_const(t), spec_const.eval(t)));
-    EXPECT_TRUE(bit_equal(legacy_diurnal(t), spec_diurnal.eval(t)));
-  }
-}
-
 }  // namespace
