@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 
 #include "physics/pressure.hpp"
 #include "sim/time.hpp"
@@ -61,11 +60,11 @@ class TempControlLogic {
         temp_c >= setpoint_ - cfg_.alarm_tolerance_c &&
         temp_c <= setpoint_ + cfg_.alarm_tolerance_c;
     if (in_band) {
-      out_of_band_since_.reset();
+      out_of_band_since_ = -1;
       alarm_on_ = false;
     } else {
-      if (!out_of_band_since_.has_value()) out_of_band_since_ = now;
-      if (now - *out_of_band_since_ >= cfg_.alarm_timeout) alarm_on_ = true;
+      if (out_of_band_since_ < 0) out_of_band_since_ = now;
+      if (now - out_of_band_since_ >= cfg_.alarm_timeout) alarm_on_ = true;
     }
     return {heater_on_, alarm_on_};
   }
@@ -94,7 +93,7 @@ class TempControlLogic {
   double last_temp_ = 0.0;
   bool heater_on_ = false;
   bool alarm_on_ = false;
-  std::optional<sim::Time> out_of_band_since_;
+  sim::Time out_of_band_since_ = -1;  // -1: in band
 };
 
 /// Tunables of the BSL-3 containment controller (EXT1). Part of the
