@@ -105,7 +105,6 @@ void Bsl3Lab::run_mgmt(Link& link, const char* detail, camkes::Runtime* rt) {
     poll_attack(&attacked, "mgmt.compromised", detail, rt);
     while (auto id = http_.poll()) {
       const net::HttpRequest& req = http_.request(*id);
-      const net::HttpResponse unavailable{503, "control unavailable"};
       net::HttpResponse resp{404, "not found"};
       if (req.method == "GET" && req.path == "/status") {
         Status st;
@@ -116,18 +115,21 @@ void Bsl3Lab::run_mgmt(Link& link, const char* detail, camkes::Runtime* rt) {
                         st.ante_pa, st.fan_speed, st.alarm_on ? "on" : "off");
           resp = {200, buf};
         } else {
-          resp = unavailable;
+          resp = {503, "control unavailable"};
         }
       } else if (req.method == "POST" && req.path == "/door") {
         const int door = req.body == "door=inner" ? 0
                          : req.body == "door=outer" ? 1
                                                     : -1;
-        const std::optional<bool> granted =
-            door < 0 ? std::optional<bool>() : link.request_door(door);
-        resp = door < 0   ? net::HttpResponse{400, "bad door"}
-               : !granted ? unavailable
-               : *granted ? net::HttpResponse{200, "door released"}
+        if (door < 0) {
+          resp = {400, "bad door"};
+        } else if (const std::optional<bool> granted =
+                       link.request_door(door)) {
+          resp = *granted ? net::HttpResponse{200, "door released"}
                           : net::HttpResponse{409, "interlock engaged"};
+        } else {
+          resp = {503, "control unavailable"};
+        }
       }
       http_.respond(*id, machine_.now(), std::move(resp));
     }

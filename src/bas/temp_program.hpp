@@ -18,8 +18,9 @@ namespace mkbas::bas {
 /// LinuxScenario) builds over its own IPC. A server-side link owns its
 /// kernel's receive loop (`serve`) and calls back into the body for each
 /// message, so it alone decides the order of receives, replies and
-/// drains. Links and callbacks are template parameters: a message costs
-/// no virtual call and no allocation. What each body needs from its link:
+/// drains. Links and callbacks are template parameters, so the split adds
+/// no virtual call and no allocation per message. What each body needs
+/// from its link:
 ///
 ///   sensor    send(t)                       deliver one sample
 ///   control   serve(on_sample, on_setpoint, env)
@@ -33,7 +34,7 @@ namespace mkbas::bas {
 ///             query_env(&env) -> bool       false: controller unreachable
 ///             set_setpoint(sp) -> optional<bool>  (nullopt: unreachable)
 ///
-/// DESIGN.md ("bas") lists the kernel orderings each adapter keeps.
+/// DESIGN.md §15 lists the kernel orderings each adapter keeps.
 class TempScenario : public ScenarioBase {
  public:
   const ScenarioConfig& config() const { return cfg_; }
