@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "attack/attacks.hpp"
@@ -43,6 +44,10 @@ struct GoldenCase {
   bool crash_processes;     // crash controller, heater and sensor
   const char* expected;
 };
+
+/// gtest prints a parameter into each test's listed name; the default
+/// byte dump would include pointers, which differ from run to run.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 /// A compromised web interface on the UDS build: connect to the control
 /// socket like any client and feed it a cold reading.
