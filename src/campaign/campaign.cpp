@@ -33,26 +33,9 @@ CellResult run_cell(const CampaignCell& cell) {
     // Close trailing rate windows so trailing anomalies are detected
     // before the snapshot; idempotent if the caller already flushed.
     m.health().flush(m.now());
-    res.metrics = std::make_unique<obs::MetricsRegistry>();
-    res.metrics->merge_from(m.metrics());
-    res.metrics_json = m.metrics().to_json();
+    res.merge_from(m.bundle());
     res.trace_hash = trace_hash(m.trace());
     res.trace_events = m.trace().total_emitted();
-    res.spans = std::make_unique<obs::SpanStore>();
-    res.spans->merge_from(m.spans());
-    res.audit = std::make_unique<obs::AuditJournal>();
-    res.audit->merge_from(m.audit());
-    res.spans_json = res.spans->to_json();
-    res.audit_json = res.audit->to_json();
-    res.series = std::make_unique<obs::SeriesStore>();
-    res.series->merge_from(m.series());
-    res.health = std::make_unique<obs::HealthMonitor>();
-    res.health->merge_from(m.health());
-    res.flight = std::make_unique<obs::FlightRecorder>();
-    res.flight->merge_from(m.flight());
-    res.series_json = res.series->to_json();
-    res.health_json = res.health->to_json();
-    res.flight_json = res.flight->to_json();
   };
 
   switch (cell.kind) {
@@ -67,44 +50,18 @@ CellResult run_cell(const CampaignCell& cell) {
       res.fault =
           run_fault(cell.platform, cell.plan, opts, cell.spoof_probe_at);
       break;
-    case CellKind::kFabric: {
-      // The fabric already reduces its machines in node order; the cell
-      // snapshot folds the same registries so the campaign-level merge
-      // sees one registry per cell, as for every other kind.
-      FabricOptions fopts = cell.fabric;
-      auto caller_fabric_observe = fopts.observe;
-      fopts.observe = [&](net::Fabric& fabric) {
-        if (caller_fabric_observe) caller_fabric_observe(fabric);
-        res.metrics = std::make_unique<obs::MetricsRegistry>();
-        res.spans = std::make_unique<obs::SpanStore>();
-        res.audit = std::make_unique<obs::AuditJournal>();
-        res.series = std::make_unique<obs::SeriesStore>();
-        res.health = std::make_unique<obs::HealthMonitor>();
-        res.flight = std::make_unique<obs::FlightRecorder>();
-        std::uint64_t events = 0;
-        for (std::size_t n = 0; n < fabric.node_count(); ++n) {
-          sim::Machine& m = fabric.machine(static_cast<int>(n));
-          res.metrics->merge_from(m.metrics());
-          res.spans->merge_from(m.spans());
-          res.audit->merge_from(m.audit());
-          res.series->merge_from(m.series());
-          res.health->merge_from(m.health());
-          res.flight->merge_from(m.flight());
-          events += m.trace().total_emitted();
-        }
-        res.trace_events = events;
-      };
-      res.fabric = run_fabric(fopts);
-      res.metrics_json = res.fabric.metrics_json;
+    case CellKind::kFabric:
+      // The fabric already folded its machines in node order: the cell
+      // takes that bundle, so the campaign-level merge sees one bundle
+      // per cell, as for every other kind.
+      res.fabric = run_fabric(cell.fabric);
+      static_cast<obs::Bundle&>(res) = std::move(res.fabric.merged);
       res.trace_hash = res.fabric.trace_hash;
-      res.spans_json = res.fabric.spans_json;
-      res.audit_json = res.fabric.audit_json;
-      res.series_json = res.fabric.series_json;
-      res.health_json = res.fabric.health_json;
-      res.flight_json = res.fabric.flight_json;
+      res.trace_events = res.fabric.trace_events;
       break;
-    }
   }
+  // Exported and hashed here, on the worker, not in the serial tail.
+  res.digests = digest(res);
   res.wall_seconds = seconds_since(t0);
   return res;
 }
@@ -144,26 +101,27 @@ std::string cell_verdict(const CellResult& r) {
                                                        : "blocked"));
       return buf;
     case CellKind::kFabric: {
-      std::string zones;
-      for (const FabricZoneRow& row : r.fabric.rows) {
-        if (!zones.empty()) zones += ',';
-        zones += std::to_string(row.zone);
-        zones += r.fabric.attack == FabricAttack::kNone
-                     ? ":-"
-                     : (row.attack_delivered ? ":DELIVERED" : ":blocked");
-      }
+      // Built as a string: the zone list grows with the building.
       std::snprintf(
           buf, sizeof buf,
           "zones=%d attack=%s delivered=%llu drops=%llu/%llu/%llu "
-          "cov=%llu cov_p99_us=%.0f [%s]",
+          "cov=%llu cov_p99_us=%.0f [",
           r.fabric.zones, to_string(r.fabric.attack),
           static_cast<unsigned long long>(r.fabric.delivered),
           static_cast<unsigned long long>(r.fabric.drop_loss),
           static_cast<unsigned long long>(r.fabric.drop_partition),
           static_cast<unsigned long long>(r.fabric.drop_overflow),
           static_cast<unsigned long long>(r.fabric.cov_count),
-          r.fabric.cov_p99_us, zones.c_str());
-      return buf;
+          r.fabric.cov_p99_us);
+      std::string out = buf;
+      for (const FabricZoneRow& row : r.fabric.rows) {
+        if (out.back() != '[') out += ',';
+        out += std::to_string(row.zone);
+        out += r.fabric.attack == FabricAttack::kNone
+                   ? ":-"
+                   : (row.attack_delivered ? ":DELIVERED" : ":blocked");
+      }
+      return out + "]";
     }
   }
   return "?";
@@ -204,29 +162,13 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
 
   // Reductions walk the slots in cell order — the one order every --jobs
   // value shares — so merged artifacts are byte-identical to sequential.
-  obs::MetricsRegistry merged;
-  obs::SpanStore merged_spans;
-  obs::AuditJournal merged_audit;
-  obs::SeriesStore merged_series;
-  obs::HealthMonitor merged_health;
-  obs::FlightRecorder merged_flight;
   std::uint64_t chain = 14695981039346656037ULL;
   for (const CellResult& r : out.cells) {
-    if (r.metrics) merged.merge_from(*r.metrics);
-    if (r.spans) merged_spans.merge_from(*r.spans);
-    if (r.audit) merged_audit.merge_from(*r.audit);
-    if (r.series) merged_series.merge_from(*r.series);
-    if (r.health) merged_health.merge_from(*r.health);
-    if (r.flight) merged_flight.merge_from(*r.flight);
+    out.merged.merge_from(r);
     chain = fnv1a(hex64(r.trace_hash), chain);
   }
-  out.merged_metrics_json = merged.to_json();
+  out.merged_metrics_json = out.merged.metrics->to_json();
   out.merged_trace_hash = chain;
-  out.merged_spans_json = merged_spans.to_json();
-  out.merged_audit_json = merged_audit.to_json();
-  out.merged_series_json = merged_series.to_json();
-  out.merged_health_json = merged_health.to_json();
-  out.merged_flight_json = merged_flight.to_json();
   out.wall_seconds = seconds_since(t0);
   return out;
 }
@@ -239,26 +181,28 @@ std::string CampaignResult::summary_json() const {
   for (const auto& r : cells) {
     if (!first) os << ',';
     first = false;
-    os << "{\"audit_hash\":\"" << hex64(fnv1a(r.audit_json))
-       << "\",\"flight_hash\":\"" << hex64(fnv1a(r.flight_json))
-       << "\",\"health_events\":"
-       << (r.health ? r.health->events().size() : 0)
-       << ",\"health_hash\":\"" << hex64(fnv1a(r.health_json))
-       << "\",\"kind\":\"" << to_string(r.kind) << "\",\"metrics_hash\":\""
-       << hex64(fnv1a(r.metrics_json)) << "\",\"name\":\""
-       << obs::json_escape(r.name) << "\",\"series_hash\":\""
-       << hex64(fnv1a(r.series_json)) << "\",\"spans_hash\":\""
-       << hex64(fnv1a(r.spans_json)) << "\",\"trace_events\":"
-       << r.trace_events << ",\"trace_hash\":\"" << hex64(r.trace_hash)
-       << "\",\"verdict\":\"" << obs::json_escape(cell_verdict(r))
-       << "\"}";
+    const BundleDigests& d = r.digests;
+    os << "{\"audit_hash\":\"" << hex64(d.audit) << "\",\"flight_hash\":\""
+       << hex64(d.flight)
+       << "\",\"health_events\":" << r.health->events().size()
+       << ",\"health_hash\":\"" << hex64(d.health) << "\",\"kind\":\""
+       << to_string(r.kind) << "\",\"metrics_hash\":\"" << hex64(d.metrics)
+       << "\",\"name\":\"" << obs::json_escape(r.name)
+       << "\",\"series_hash\":\"" << hex64(d.series)
+       << "\",\"spans_hash\":\"" << hex64(d.spans)
+       << "\",\"trace_events\":" << r.trace_events << ",\"trace_hash\":\""
+       << hex64(r.trace_hash) << "\",\"verdict\":\""
+       << obs::json_escape(cell_verdict(r)) << "\"}";
   }
-  os << "],\"merged_audit_hash\":\"" << hex64(fnv1a(merged_audit_json))
-     << "\",\"merged_flight_hash\":\"" << hex64(fnv1a(merged_flight_json))
-     << "\",\"merged_health_hash\":\"" << hex64(fnv1a(merged_health_json))
+  os << "],\"merged_audit_hash\":\"" << hex64(fnv1a(merged.audit->to_json()))
+     << "\",\"merged_flight_hash\":\""
+     << hex64(fnv1a(merged.flight->to_json()))
+     << "\",\"merged_health_hash\":\""
+     << hex64(fnv1a(merged.health->to_json()))
      << "\",\"merged_metrics\":" << merged_metrics_json
-     << ",\"merged_series_hash\":\"" << hex64(fnv1a(merged_series_json))
-     << "\",\"merged_spans_hash\":\"" << hex64(fnv1a(merged_spans_json))
+     << ",\"merged_series_hash\":\""
+     << hex64(fnv1a(merged.series->to_json()))
+     << "\",\"merged_spans_hash\":\"" << hex64(fnv1a(merged.spans->to_json()))
      << "\",\"merged_trace_hash\":\"" << hex64(merged_trace_hash)
      << "\",\"schema_version\":" << obs::kSchemaVersion << "}";
   return os.str();
@@ -431,10 +375,10 @@ std::vector<FaultRunResult> fault_rows(const CampaignResult& r) {
   return rows;
 }
 
-std::vector<FabricRunResult> fabric_rows(const CampaignResult& r) {
-  std::vector<FabricRunResult> rows;
+std::vector<const FabricRunResult*> fabric_rows(const CampaignResult& r) {
+  std::vector<const FabricRunResult*> rows;
   for (const auto& c : r.cells) {
-    if (c.kind == CellKind::kFabric) rows.push_back(c.fabric);
+    if (c.kind == CellKind::kFabric) rows.push_back(&c.fabric);
   }
   return rows;
 }

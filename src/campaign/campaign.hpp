@@ -9,9 +9,7 @@
 #include "core/experiment.hpp"
 #include "core/fabric_run.hpp"
 #include "core/hash.hpp"
-#include "obs/health.hpp"
-#include "obs/metrics.hpp"
-#include "obs/series.hpp"
+#include "obs/bundle.hpp"
 
 namespace mkbas::core {
 
@@ -34,7 +32,7 @@ enum class CellKind { kBenign, kAttack, kFault, kFabric };
 const char* to_string(CellKind k);
 
 /// One schedulable experiment. `opts.observe` still fires (before the
-/// engine snapshots the registry), so callers can export per-cell
+/// engine snapshots the bundle), so callers can export per-cell
 /// artifacts exactly as they would from the sequential entry points.
 struct CampaignCell {
   std::string name;  // unique, deterministic label ("attack/kill/minix/root")
@@ -52,34 +50,22 @@ struct CampaignCell {
   FabricOptions fabric{};
 };
 
-/// What came back from one cell. Exactly one of attack/fault/benign is
-/// meaningful (matching `kind`); the observability snapshot is always
-/// taken. Move-only because it carries the cell's merged registry.
-struct CellResult {
+/// What came back from one cell. Exactly one of attack/fault/benign/
+/// fabric is meaningful (matching `kind`); the observability snapshot
+/// is always taken. The cell *is* its bundle: the six stores snapshot
+/// while the cell's Machine was still alive (closed spans only — cells
+/// quiesce before the observe hook fires; series windows and health
+/// detectors flushed at the cell's end time). A fabric cell moves in the
+/// fabric's node-order fold, leaving `fabric.merged` empty.
+struct CellResult : obs::Bundle {
   std::string name;
   CellKind kind = CellKind::kBenign;
   AttackRow attack;
   FaultRunResult fault;
   BenignRun benign;
   FabricRunResult fabric;
-  /// Registry snapshot taken while the cell's Machine was still alive.
-  std::unique_ptr<obs::MetricsRegistry> metrics;
-  std::string metrics_json;
-  /// Span/audit snapshots (closed spans only — cells quiesce before the
-  /// observe hook fires). Fabric cells fold their nodes in node order.
-  std::unique_ptr<obs::SpanStore> spans;
-  std::unique_ptr<obs::AuditJournal> audit;
-  std::string spans_json;
-  std::string audit_json;
-  /// Windowed series / health events / flight snapshots, flushed at the
-  /// cell's end time before the snapshot. Fabric cells fold their nodes
-  /// in node order.
-  std::unique_ptr<obs::SeriesStore> series;
-  std::unique_ptr<obs::HealthMonitor> health;
-  std::unique_ptr<obs::FlightRecorder> flight;
-  std::string series_json;
-  std::string health_json;
-  std::string flight_json;
+  /// FNV-1a of each store's export, taken on the pool worker.
+  BundleDigests digests;
   /// FNV-1a over every trace event rendered as text (names, not interned
   /// ids, so the hash is independent of cross-cell interning order).
   std::uint64_t trace_hash = 0;
@@ -93,19 +79,13 @@ struct CampaignResult {
   int jobs = 1;
   std::uint64_t steals = 0;      // work-stealing pool diagnostic
   double wall_seconds = 0.0;     // host wall-clock for the whole campaign
-  /// Per-cell registries folded together in cell order.
+  /// Per-cell bundles folded in cell order — the order-deterministic
+  /// merge the --jobs identity tests diff. Exported on demand.
+  obs::Bundle merged;
+  /// The merged registry's export (summary_json embeds it).
   std::string merged_metrics_json;
   /// FNV-1a chain over the per-cell trace hashes, in cell order.
   std::uint64_t merged_trace_hash = 0;
-  /// Per-cell span stores / audit journals folded in cell order — the
-  /// order-deterministic merge the --jobs identity tests diff.
-  std::string merged_spans_json;
-  std::string merged_audit_json;
-  /// Per-cell series / health / flight artifacts folded in cell order;
-  /// same --jobs identity contract as the other merges.
-  std::string merged_series_json;
-  std::string merged_health_json;
-  std::string merged_flight_json;
 
   /// Pool profile of this campaign's run() (host wall time): per-worker
   /// steal counts, busy time and queue-depth samples, plus per-cell
@@ -154,9 +134,10 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
 /// Parallel drop-in for run_attack_matrix(): same rows, same order.
 std::vector<AttackRow> run_attack_matrix(const RunOptions& opts, int jobs);
 
-/// Extract the typed rows from a campaign in cell order.
+/// Extract the typed rows from a campaign in cell order. Fabric results
+/// carry a move-only bundle, so they are handed out by pointer.
 std::vector<AttackRow> attack_rows(const CampaignResult& r);
 std::vector<FaultRunResult> fault_rows(const CampaignResult& r);
-std::vector<FabricRunResult> fabric_rows(const CampaignResult& r);
+std::vector<const FabricRunResult*> fabric_rows(const CampaignResult& r);
 
 }  // namespace mkbas::core

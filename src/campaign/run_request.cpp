@@ -7,7 +7,6 @@
 #include "campaign/campaign.hpp"
 #include "core/cli.hpp"
 #include "core/hash.hpp"
-#include "core/jsonv.hpp"
 #include "core/report.hpp"
 #include "obs/json.hpp"
 #include "obs/prometheus.hpp"
@@ -46,6 +45,29 @@ constexpr unsigned kMachineArtifacts =
     artifact_bit(ArtifactKind::kFlight) |
     artifact_bit(ArtifactKind::kMetricsProm);
 
+/// The six store exports of a machine, fabric or campaign bundle, each
+/// rendered only when the mask asks for it.
+void put_bundle(const obs::Bundle& b, unsigned mask,
+                std::map<std::string, std::string>* out) {
+  if (want(mask, ArtifactKind::kMetrics)) {
+    (*out)["metrics"] = b.metrics->to_json();
+  }
+  if (want(mask, ArtifactKind::kMetricsProm)) {
+    (*out)["metrics_prom"] = obs::prometheus_render(*b.metrics);
+  }
+  if (want(mask, ArtifactKind::kSpans)) (*out)["spans"] = b.spans->to_json();
+  if (want(mask, ArtifactKind::kAudit)) (*out)["audit"] = b.audit->to_json();
+  if (want(mask, ArtifactKind::kSeries)) {
+    (*out)["series"] = b.series->to_json();
+  }
+  if (want(mask, ArtifactKind::kHealth)) {
+    (*out)["health"] = b.health->to_json();
+  }
+  if (want(mask, ArtifactKind::kFlight)) {
+    (*out)["flight"] = b.flight->to_json();
+  }
+}
+
 /// The RunOptions::observe hook for single-machine modes: snapshot every
 /// requested export while the machine is still alive. Same sequence the
 /// runner's --*-out flags always used — health flushed first so trailing
@@ -55,34 +77,15 @@ std::function<void(sim::Machine&)> machine_observer(
   if ((mask & kMachineArtifacts) == 0) return {};
   return [mask, out](sim::Machine& m) {
     m.health().flush(m.now());
-    if (want(mask, ArtifactKind::kMetrics) ||
-        want(mask, ArtifactKind::kMetricsProm)) {
-      const std::string mj = metrics_to_json(m);
-      if (want(mask, ArtifactKind::kMetrics)) (*out)["metrics"] = mj;
-      if (want(mask, ArtifactKind::kMetricsProm)) {
-        std::string perr;
-        (*out)["metrics_prom"] = prometheus_from_metrics_json(mj, &perr);
-      }
-    }
+    put_bundle(m.bundle(), mask, out);
     if (want(mask, ArtifactKind::kTrace)) {
       std::ostringstream os;
       obs::write_chrome_trace(os, m.trace());
       (*out)["trace"] = os.str();
     }
-    if (want(mask, ArtifactKind::kSpans)) (*out)["spans"] = m.spans().to_json();
-    if (want(mask, ArtifactKind::kAudit)) (*out)["audit"] = m.audit().to_json();
     if (want(mask, ArtifactKind::kCritical)) {
       (*out)["critical"] =
           obs::critical_path_json(m.spans(), "sensor.sample", "act.apply");
-    }
-    if (want(mask, ArtifactKind::kSeries)) {
-      (*out)["series"] = m.series().to_json();
-    }
-    if (want(mask, ArtifactKind::kHealth)) {
-      (*out)["health"] = m.health().to_json();
-    }
-    if (want(mask, ArtifactKind::kFlight)) {
-      (*out)["flight"] = m.flight().to_json();
     }
   };
 }
@@ -104,24 +107,26 @@ std::string bool_json(bool b) { return b ? "true" : "false"; }
 /// gate diffs across --jobs / reruns). Keys emitted in sorted order, like
 /// every other JSON export in the repo.
 std::string fabric_summary_json(const FabricRunResult& r) {
+  const BundleDigests d = digest(r.merged);
   std::string s = "{\"attack\":\"" + std::string(to_string(r.attack)) +
-                  "\",\"audit_hash\":\"" + hex64(fnv1a(r.audit_json)) +
+                  "\",\"audit_hash\":\"" + hex64(d.audit) +
                   "\",\"cov\":" + std::to_string(r.cov_count) +
                   ",\"delivered\":" + std::to_string(r.delivered) +
                   ",\"drop_loss\":" + std::to_string(r.drop_loss) +
                   ",\"drop_overflow\":" + std::to_string(r.drop_overflow) +
                   ",\"drop_partition\":" + std::to_string(r.drop_partition) +
-                  ",\"flight_hash\":\"" + hex64(fnv1a(r.flight_json)) +
-                  "\",\"health_events\":" + std::to_string(r.health_events) +
-                  ",\"health_hash\":\"" + hex64(fnv1a(r.health_json)) +
-                  "\",\"metrics_hash\":\"" + hex64(fnv1a(r.metrics_json)) +
+                  ",\"flight_hash\":\"" + hex64(d.flight) +
+                  "\",\"health_events\":" +
+                  std::to_string(r.merged.health->events().size()) +
+                  ",\"health_hash\":\"" + hex64(d.health) +
+                  "\",\"metrics_hash\":\"" + hex64(d.metrics) +
                   "\",\"nodes\":" + std::to_string(r.nodes) +
                   ",\"schema_version\":" +
                   std::to_string(obs::kSchemaVersion) + ",\"series_hash\":\"" +
-                  hex64(fnv1a(r.series_json)) + "\",\"spans_hash\":\"" +
-                  hex64(fnv1a(r.spans_json)) + "\",\"topology\":\"" +
-                  r.topology + "\",\"trace_hash\":\"" + hex64(r.trace_hash) +
-                  "\",\"zones\":" + std::to_string(r.zones) + "}";
+                  hex64(d.series) + "\",\"spans_hash\":\"" + hex64(d.spans) +
+                  "\",\"topology\":\"" + r.topology + "\",\"trace_hash\":\"" +
+                  hex64(r.trace_hash) + "\",\"zones\":" +
+                  std::to_string(r.zones) + "}";
   return s;
 }
 
@@ -331,23 +336,14 @@ ExperimentResponse run_fabric_request(const ExperimentRequest& req,
   (void)parse_fabric_attack(req.attack, &opts.attack);  // validated
   const auto res = run_fabric(opts);
   resp.table = format_fabric_table(res);
-  auto put = [&](ArtifactKind k, const std::string& name,
-                 const std::string& text) {
-    if (want(mask, k)) resp.artifacts[name] = text;
-  };
-  put(ArtifactKind::kSummary, "summary", fabric_summary_json(res));
-  put(ArtifactKind::kMetrics, "metrics", res.metrics_json);
-  if (want(mask, ArtifactKind::kMetricsProm)) {
-    std::string perr;
-    resp.artifacts["metrics_prom"] =
-        prometheus_from_metrics_json(res.metrics_json, &perr);
+  if (want(mask, ArtifactKind::kSummary)) {
+    resp.artifacts["summary"] = fabric_summary_json(res);
   }
-  put(ArtifactKind::kSpans, "spans", res.spans_json);
-  put(ArtifactKind::kAudit, "audit", res.audit_json);
-  put(ArtifactKind::kCritical, "critical", res.critical_path_json);
-  put(ArtifactKind::kSeries, "series", res.series_json);
-  put(ArtifactKind::kHealth, "health", res.health_json);
-  put(ArtifactKind::kFlight, "flight", res.flight_json);
+  if (want(mask, ArtifactKind::kCritical)) {
+    resp.artifacts["critical"] = obs::critical_path_json(
+        *res.merged.spans, "sensor.sample", "net.link");
+  }
+  put_bundle(res.merged, mask, &resp.artifacts);
   return resp;
 }
 
@@ -393,8 +389,8 @@ ExperimentResponse run_campaign_request(const ExperimentRequest& req,
   } else if (req.mode == RequestMode::kCampaignFault) {
     resp.table += format_fault_table(fault_rows(result));
   } else if (req.mode == RequestMode::kCampaignFabric) {
-    for (const auto& run : fabric_rows(result)) {
-      resp.table += format_fabric_table(run);
+    for (const FabricRunResult* run : fabric_rows(result)) {
+      resp.table += format_fabric_table(*run);
     }
   } else {
     for (const auto& c : result.cells) {
@@ -404,22 +400,10 @@ ExperimentResponse run_campaign_request(const ExperimentRequest& req,
     }
   }
 
-  auto put = [&](ArtifactKind k, const std::string& name,
-                 const std::string& text) {
-    if (want(mask, k)) resp.artifacts[name] = text;
-  };
-  put(ArtifactKind::kSummary, "summary", result.summary_json());
-  put(ArtifactKind::kMetrics, "metrics", result.merged_metrics_json);
-  if (want(mask, ArtifactKind::kMetricsProm)) {
-    std::string perr;
-    resp.artifacts["metrics_prom"] =
-        prometheus_from_metrics_json(result.merged_metrics_json, &perr);
+  if (want(mask, ArtifactKind::kSummary)) {
+    resp.artifacts["summary"] = result.summary_json();
   }
-  put(ArtifactKind::kSpans, "spans", result.merged_spans_json);
-  put(ArtifactKind::kAudit, "audit", result.merged_audit_json);
-  put(ArtifactKind::kSeries, "series", result.merged_series_json);
-  put(ArtifactKind::kHealth, "health", result.merged_health_json);
-  put(ArtifactKind::kFlight, "flight", result.merged_flight_json);
+  put_bundle(result.merged, mask, &resp.artifacts);
   // Pool profile: host wall-time, --jobs-dependent by nature — produced
   // only on request and kept out of the deterministic bundle.
   if (profiling) {
@@ -454,71 +438,6 @@ ExperimentResponse run_request(const ExperimentRequest& req, unsigned mask) {
 ExperimentResponse run_request(const ExperimentRequest& req) {
   return run_request(req,
                      req.artifacts.mask() | artifact_bit(ArtifactKind::kSummary));
-}
-
-std::string prometheus_from_metrics_json(const std::string& metrics_json,
-                                         std::string* err) {
-  Json doc;
-  if (!json_parse(metrics_json, &doc, err)) return "";
-  if (!doc.is_object()) {
-    *err = "metrics export must be a JSON object";
-    return "";
-  }
-  obs::PromSnapshot snap;
-  if (const Json* c = doc.find("counters"); c != nullptr && c->is_object()) {
-    for (const auto& [name, v] : c->members) {
-      if (!v.is_number() || !v.is_u64()) {
-        *err = "'counters." + name + "': expected a non-negative integer";
-        return "";
-      }
-      snap.counters.emplace_back(name, v.as_u64());
-    }
-  }
-  if (const Json* g = doc.find("gauges"); g != nullptr && g->is_object()) {
-    for (const auto& [name, v] : g->members) {
-      if (!v.is_number()) {
-        *err = "'gauges." + name + "': expected a number";
-        return "";
-      }
-      snap.gauges.emplace_back(name, v.number);
-    }
-  }
-  if (const Json* hs = doc.find("histograms");
-      hs != nullptr && hs->is_object()) {
-    for (const auto& [name, h] : hs->members) {
-      if (!h.is_object()) {
-        *err = "'histograms." + name + "': expected an object";
-        return "";
-      }
-      obs::PromHistogram ph;
-      ph.name = name;
-      // The JSON export lists only non-empty buckets; accumulating them
-      // in order reproduces exactly the cumulative sequence the live
-      // registry renderer computes after its own empty-bucket elision.
-      if (const Json* bs = h.find("buckets");
-          bs != nullptr && bs->kind == Json::Kind::kArray) {
-        std::uint64_t cum = 0;
-        for (const Json& b : bs->items) {
-          const Json* le = b.find("le");
-          const Json* count = b.find("count");
-          if (le == nullptr || !le->is_number() || count == nullptr ||
-              !count->is_u64()) {
-            *err = "'histograms." + name + "': malformed bucket";
-            return "";
-          }
-          cum += count->as_u64();
-          ph.bounds.push_back(le->number);
-          ph.cumulative.push_back(cum);
-        }
-      }
-      const Json* count = h.find("count");
-      const Json* sum = h.find("sum");
-      ph.count = count != nullptr && count->is_u64() ? count->as_u64() : 0;
-      ph.sum = sum != nullptr && sum->is_number() ? sum->number : 0.0;
-      snap.histograms.push_back(std::move(ph));
-    }
-  }
-  return obs::prometheus_render(snap);
 }
 
 }  // namespace mkbas::core

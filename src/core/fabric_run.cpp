@@ -33,6 +33,8 @@ constexpr std::uint32_t kFloorIdBase = 1000000;
 constexpr double kSpoofSetpointC = 35.0;
 constexpr std::uint32_t kFloodSrcId = 66;  // deliberately unattached
 constexpr sim::Duration kFloodWindow = sim::sec(30);
+/// Floor head-ends push their zone-average upstream at this period.
+constexpr sim::Duration kFloorFlush = sim::minutes(1);
 
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
   // splitmix64 over the xor — enough to decorrelate derived seeds.
@@ -172,7 +174,6 @@ FabricRunResult run_fabric(const FabricOptions& opts) {
   auto configure_node = [&opts](sim::Machine& m) {
     m.spans().set_enabled(opts.trace_spans);
     m.audit().set_enabled(opts.trace_spans);
-    m.spans().set_capacity(opts.span_capacity);
     // The series/health/flight stack rides the same observability knob:
     // the trace-off arm stays the clean A/B baseline.
     m.series().set_enabled(opts.trace_spans);
@@ -239,7 +240,7 @@ FabricRunResult run_fabric(const FabricOptions& opts) {
         // Periodic upstream push: one averaged COV per floor per period
         // instead of one per zone sample — the per-tier batching.
         FloorAggregator* agg = floor_aggs.back().get();
-        fabric.machine(fn).every(opts.floor_flush, opts.floor_flush,
+        fabric.machine(fn).every(kFloorFlush, kFloorFlush,
                                  [agg] { agg->flush(); });
         ++floor_seq;
       }
@@ -581,61 +582,18 @@ FabricRunResult run_fabric(const FabricOptions& opts) {
   for (const auto& agg : floor_aggs) res.floor_covs += agg->absorbed();
 
   // Trace hash always: it is the cheap cross-mode replay fingerprint.
-  {
-    std::uint64_t chain = 14695981039346656037ULL;
-    for (std::size_t n = 0; n < fabric.node_count(); ++n) {
-      chain = fnv1a(hex64(trace_hash(fabric.machine(static_cast<int>(n))
-                                         .trace())),
-                    chain);
-    }
-    res.trace_hash = chain;
+  std::uint64_t chain = 14695981039346656037ULL;
+  for (std::size_t n = 0; n < fabric.node_count(); ++n) {
+    const sim::TraceLog& trace = fabric.machine(static_cast<int>(n)).trace();
+    chain = fnv1a(hex64(trace_hash(trace)), chain);
+    res.trace_events += trace.total_emitted();
   }
+  res.trace_hash = chain;
 
+  // The fold in node order — the one order every run shares.
   if (opts.collect) {
-    // Reductions in node order — the one order every run shares.
-    obs::MetricsRegistry merged;
-    obs::SpanStore merged_spans;
-    obs::AuditJournal merged_audit;
-    obs::SeriesStore merged_series;
-    obs::HealthMonitor merged_health;
-    obs::FlightRecorder merged_flight;
     for (std::size_t n = 0; n < fabric.node_count(); ++n) {
-      sim::Machine& m = fabric.machine(static_cast<int>(n));
-      merged.merge_from(m.metrics());
-      merged_spans.merge_from(m.spans());
-      merged_audit.merge_from(m.audit());
-      merged_series.merge_from(m.series());
-      merged_health.merge_from(m.health());
-      merged_flight.merge_from(m.flight());
-    }
-    res.metrics_json = merged.to_json();
-    res.spans_json = merged_spans.to_json();
-    res.audit_json = merged_audit.to_json();
-    res.series_json = merged_series.to_json();
-    res.health_json = merged_health.to_json();
-    res.flight_json = merged_flight.to_json();
-    res.health_events = merged_health.events().size();
-    res.critical_path_json =
-        obs::critical_path_json(merged_spans, "sensor.sample", "net.link");
-    // Mean telemetry e2e from the spans themselves (leaf.end -
-    // root.start over complete chains) — tests compare this against the
-    // head-end's COV latency histogram.
-    double total = 0.0;
-    std::uint64_t n_chains = 0;
-    const std::uint32_t link_tag = tags.intern("net.link");
-    const std::uint32_t drop_tag = tags.intern("drop");
-    for (const obs::Span& s : merged_spans.spans()) {
-      if (s.name != link_tag || s.abandoned || s.note == drop_tag) continue;
-      const std::vector<std::uint64_t> up = merged_spans.chain(s.span_id);
-      if (up.empty() || merged_spans.name_of(up.back()) != tag_sample) {
-        continue;
-      }
-      total += static_cast<double>(s.end) -
-               static_cast<double>(merged_spans.start_of(up.back()));
-      ++n_chains;
-    }
-    if (n_chains > 0) {
-      res.sample_e2e_mean_us = total / static_cast<double>(n_chains);
+      res.merged.merge_from(fabric.machine(static_cast<int>(n)).bundle());
     }
   }
 

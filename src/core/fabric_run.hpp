@@ -7,6 +7,7 @@
 
 #include "bas/scenario.hpp"
 #include "net/fabric.hpp"
+#include "obs/bundle.hpp"
 
 namespace mkbas::core {
 
@@ -61,16 +62,12 @@ struct FabricOptions {
   bool capture = true;
   /// Fabric-level trace events (fabric.deliver / fabric.drop).
   bool net_trace = true;
-  /// Merge per-node artifacts (metrics/spans/series/health/flight JSON)
-  /// into the result. Off: scalar fields still populate, the JSON
-  /// fields stay empty — city runs skip the 10k-registry merge.
+  /// Fold every node's obs::Bundle into the result. Off: scalar fields
+  /// still populate, the merged bundle stays empty — city runs skip the
+  /// 10k-store fold.
   bool collect = true;
-  /// Floor head-ends push their zone-average upstream at this period.
-  sim::Duration floor_flush = sim::minutes(1);
   /// Causal span tracing + audit journal (off = the A/B baseline arm).
   bool trace_spans = true;
-  /// Ring-buffer capacity for each node's span store; 0 = unbounded.
-  std::size_t span_capacity = 0;
   /// Fires before teardown, with every machine still alive.
   std::function<void(net::Fabric&)> observe;
 };
@@ -112,36 +109,21 @@ struct FabricRunResult {
   /// p99 end-to-end COV latency, microseconds of virtual time (bucket
   /// upper bound; 0 when no COV arrived).
   double cov_p99_us = 0.0;
-  /// Node registries merged in node order.
-  std::string metrics_json;
   /// FNV-1a chain over per-node trace hashes, in node order.
   std::uint64_t trace_hash = 0;
-  /// Node span stores / audit journals merged in node order (empty JSON
-  /// skeletons when opts.trace_spans is off).
-  std::string spans_json;
-  std::string audit_json;
-  /// Telemetry critical path over the merged store: every COV sample's
-  /// sensor.sample -> net.link chain decomposed per hop.
-  std::string critical_path_json;
-  /// Mean end-to-end telemetry latency from the critical path (leaf.end
-  /// - root.start averaged over complete chains); 0 when none.
-  double sample_e2e_mean_us = 0.0;
-  /// Windowed time-series, health events and flight-recorder snapshots
-  /// merged in node order (empty skeletons when opts.trace_spans is
-  /// off). Health detectors are flushed at opts.duration before the
-  /// per-zone verdicts are journaled, so an attack that trips a detector
-  /// is visible in the audit journal ahead of its verdict row.
-  std::string series_json;
-  std::string health_json;
-  std::string flight_json;
-  /// Kept health events across all nodes (suppressed firings excluded).
-  std::uint64_t health_events = 0;
+  /// Trace events emitted across all nodes.
+  std::uint64_t trace_events = 0;
+  /// Every node's bundle folded in node order (empty stores when
+  /// opts.collect is off). Health detectors are flushed at opts.duration
+  /// before the per-zone verdicts are journaled, so an attack that trips
+  /// a detector is visible in the audit journal ahead of its verdict row.
+  obs::Bundle merged;
 };
 
 /// Build the building, run it, and judge every zone. Deterministic: the
-/// result (including metrics_json and trace_hash) is a pure function of
-/// opts. Zone machine seeds derive from opts.seed, so one `--seed` value
-/// names the whole building's randomness.
+/// result (including the merged bundle and trace_hash) is a pure
+/// function of opts. Zone machine seeds derive from opts.seed, so one
+/// `--seed` value names the whole building's randomness.
 FabricRunResult run_fabric(const FabricOptions& opts = {});
 
 /// Aligned text table over the zone rows (the cross-controller attack

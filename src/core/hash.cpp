@@ -36,4 +36,15 @@ std::uint64_t trace_hash(const sim::TraceLog& log) {
   return h;
 }
 
+BundleDigests digest(const obs::Bundle& b) {
+  BundleDigests d;
+  d.metrics = fnv1a(b.metrics->to_json());
+  d.spans = fnv1a(b.spans->to_json());
+  d.audit = fnv1a(b.audit->to_json());
+  d.series = fnv1a(b.series->to_json());
+  d.health = fnv1a(b.health->to_json());
+  d.flight = fnv1a(b.flight->to_json());
+  return d;
+}
+
 }  // namespace mkbas::core

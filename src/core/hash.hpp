@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/bundle.hpp"
 #include "sim/trace.hpp"
 
 namespace mkbas::core {
@@ -18,5 +19,18 @@ std::string hex64(std::uint64_t v);
 /// not interned ids: interning order depends on process-wide first-sight
 /// order, which parallel execution must not observe.
 std::uint64_t trace_hash(const sim::TraceLog& log);
+
+/// FNV-1a of each store's JSON export: the `*_hash` fields of the
+/// campaign and fabric summaries.
+struct BundleDigests {
+  std::uint64_t metrics = 0;
+  std::uint64_t spans = 0;
+  std::uint64_t audit = 0;
+  std::uint64_t series = 0;
+  std::uint64_t health = 0;
+  std::uint64_t flight = 0;
+};
+
+BundleDigests digest(const obs::Bundle& b);
 
 }  // namespace mkbas::core

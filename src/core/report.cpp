@@ -65,8 +65,4 @@ std::string benign_history_to_csv(const BenignRun& run) {
   return os.str();
 }
 
-std::string metrics_to_json(const sim::Machine& machine) {
-  return machine.metrics().to_json();
-}
-
 }  // namespace mkbas::core

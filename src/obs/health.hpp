@@ -33,7 +33,7 @@ namespace mkbas::obs {
 /// Every firing emits a structured HealthEvent into the monitor (bounded
 /// list), the machine's AuditJournal (kind "health.anomaly", with the
 /// causal chain active at detection time) and the on_event observer the
-/// machine wires to the flight recorder. Detector state is a pure
+/// obs::Bundle wires to the flight recorder. Detector state is a pure
 /// function of the observation history, so events are byte-identically
 /// replayable and campaign merges reduce in cell order.
 
@@ -123,7 +123,7 @@ class HealthMonitor {
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Wire the sinks (done by sim::Machine): per-signal windowed series
+  /// Wire the sinks (done by obs::Bundle): per-signal windowed series
   /// land in `series`, events are journaled into `audit` with the chain
   /// resolved against `spans`. Any pointer may be null (that sink is
   /// skipped).
@@ -135,7 +135,7 @@ class HealthMonitor {
   void set_machine(int id) { machine_ = id; }
   int machine() const { return machine_; }
 
-  /// Observer invoked synchronously on every event (the machine wires
+  /// Observer invoked synchronously on every event (the bundle wires
   /// the flight recorder here).
   void set_on_event(std::function<void(const HealthEvent&)> fn) {
     on_event_ = std::move(fn);

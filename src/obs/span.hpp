@@ -396,7 +396,7 @@ class AuditJournal {
   std::size_t size() const { return entries_.size(); }
 
   /// Observer invoked synchronously after every recorded entry — the
-  /// machine wires the flight recorder here so a security denial
+  /// bundle wires the flight recorder here so a security denial
   /// snapshots the telemetry around it. Not called on merge_from: a
   /// merge replays history, it does not re-decide anything.
   void set_on_record(std::function<void(const AuditEntry&)> fn) {

@@ -7,10 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/health.hpp"
-#include "obs/metrics.hpp"
-#include "obs/series.hpp"
-#include "obs/span.hpp"
+#include "obs/bundle.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/fiber.hpp"
 #include "sim/rng.hpp"
@@ -262,36 +259,36 @@ class Machine {
   Time now() const { return now_; }
   TraceLog& trace() { return trace_; }
   const TraceLog& trace() const { return trace_; }
+  /// The machine's six observability stores (obs::Bundle), built and
+  /// wired together; the accessors below forward to it.
+  obs::Bundle& bundle() { return obs_; }
+  const obs::Bundle& bundle() const { return obs_; }
   /// Machine-wide metrics registry. Kernel personalities and scenarios
   /// resolve their handles from it once, at construction time.
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  obs::MetricsRegistry& metrics() { return *obs_.metrics; }
+  const obs::MetricsRegistry& metrics() const { return *obs_.metrics; }
   /// Causal span store. Kernel personalities open IPC flow spans here
   /// and propagate SpanContext kernel-side; scenarios open the
   /// sensor/control/actuation scoped spans.
-  obs::SpanStore& spans() { return spans_; }
-  const obs::SpanStore& spans() const { return spans_; }
+  obs::SpanStore& spans() { return *obs_.spans; }
+  const obs::SpanStore& spans() const { return *obs_.spans; }
   /// Security audit journal: denials and verdicts with causal chains.
-  obs::AuditJournal& audit() { return audit_; }
-  const obs::AuditJournal& audit() const { return audit_; }
+  obs::AuditJournal& audit() { return *obs_.audit; }
+  const obs::AuditJournal& audit() const { return *obs_.audit; }
   /// Windowed time-series store (continuous telemetry; bounded rings).
-  obs::SeriesStore& series() { return series_; }
-  const obs::SeriesStore& series() const { return series_; }
+  obs::SeriesStore& series() { return *obs_.series; }
+  const obs::SeriesStore& series() const { return *obs_.series; }
   /// Health monitor: EWMA/CUSUM anomaly detectors over the series feed.
   /// Events land in the audit journal and trip the flight recorder.
-  obs::HealthMonitor& health() { return health_; }
-  const obs::HealthMonitor& health() const { return health_; }
+  obs::HealthMonitor& health() { return *obs_.health; }
+  const obs::HealthMonitor& health() const { return *obs_.health; }
   /// Always-on flight recorder: snapshots recent telemetry on detector
   /// firings, security denials and fault injections.
-  obs::FlightRecorder& flight() { return flight_; }
-  const obs::FlightRecorder& flight() const { return flight_; }
+  obs::FlightRecorder& flight() { return *obs_.flight; }
+  const obs::FlightRecorder& flight() const { return *obs_.flight; }
   /// Fabric node index, part of the span-id derivation (default 0).
-  void set_machine_id(int id) {
-    spans_.set_machine(id);
-    series_.set_machine(id);
-    health_.set_machine(id);
-  }
-  int machine_id() const { return spans_.machine(); }
+  void set_machine_id(int id) { obs_.set_machine(id); }
+  int machine_id() const { return obs_.spans->machine(); }
   Rng& rng() { return rng_; }
   std::uint64_t context_switches() const { return context_switches_; }
   std::uint64_t kernel_entries() const { return kernel_entries_; }
@@ -417,12 +414,7 @@ class Machine {
   Time now_ = 0;
   Duration syscall_cost_ = 1;
   TraceLog trace_;
-  obs::MetricsRegistry metrics_;
-  obs::SpanStore spans_;
-  obs::AuditJournal audit_;
-  obs::SeriesStore series_;
-  obs::HealthMonitor health_;
-  obs::FlightRecorder flight_;
+  obs::Bundle obs_;
   obs::Counter ctx_switch_metric_;
   obs::Counter kernel_entry_metric_;
   Rng rng_;

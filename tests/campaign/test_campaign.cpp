@@ -126,7 +126,8 @@ TEST(Campaign, ParallelFaultCampaignIsByteIdenticalToSequential) {
     EXPECT_EQ(seq.cells[i].name, par.cells[i].name);
     EXPECT_EQ(seq.cells[i].trace_hash, par.cells[i].trace_hash) << cells[i].name;
     EXPECT_EQ(seq.cells[i].trace_events, par.cells[i].trace_events);
-    EXPECT_EQ(seq.cells[i].metrics_json, par.cells[i].metrics_json)
+    EXPECT_EQ(seq.cells[i].metrics->to_json(),
+              par.cells[i].metrics->to_json())
         << cells[i].name;
   }
   EXPECT_EQ(seq.merged_trace_hash, par.merged_trace_hash);

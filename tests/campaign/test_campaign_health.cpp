@@ -53,25 +53,28 @@ std::vector<core::CampaignCell> health_cells() {
 
 TEST(FabricHealth, FloodTripsTheOverflowSurgeBeforeTheVerdict) {
   const core::FabricRunResult res = core::run_fabric(flood_building());
+  const std::string health_json = res.merged.health->to_json();
+  const std::string flight_json = res.merged.flight->to_json();
+  const std::string audit_json = res.merged.audit->to_json();
 
   // The 30 s flood overwhelms the head-end inbox; the per-node rate
   // signal's surge threshold (256 overflows per 5 s window) trips while
   // the flood is still running.
   EXPECT_GT(res.drop_overflow, 0u);
-  ASSERT_GT(res.health_events, 0u);
-  ASSERT_TRUE(jsonlite::valid(res.health_json)) << res.health_json;
-  EXPECT_NE(res.health_json.find("net.inbox_overflow"), std::string::npos);
-  EXPECT_NE(res.health_json.find("\"surge\""), std::string::npos);
+  ASSERT_GT(res.merged.health->events().size(), 0u);
+  ASSERT_TRUE(jsonlite::valid(health_json)) << health_json;
+  EXPECT_NE(health_json.find("net.inbox_overflow"), std::string::npos);
+  EXPECT_NE(health_json.find("\"surge\""), std::string::npos);
 
   // The detector firing pulled a flight-recorder snapshot.
-  ASSERT_TRUE(jsonlite::valid(res.flight_json)) << res.flight_json;
-  EXPECT_NE(res.flight_json.find("health.net.inbox_overflow"),
+  ASSERT_TRUE(jsonlite::valid(flight_json)) << flight_json;
+  EXPECT_NE(flight_json.find("health.net.inbox_overflow"),
             std::string::npos);
 
   // Detection precedes judgment: the surge's audit record is journaled
   // during the run, the per-zone verdicts only at opts.duration.
-  const std::size_t anomaly = res.audit_json.find("health.anomaly");
-  const std::size_t verdict = res.audit_json.find("attack.verdict");
+  const std::size_t anomaly = audit_json.find("health.anomaly");
+  const std::size_t verdict = audit_json.find("attack.verdict");
   ASSERT_NE(anomaly, std::string::npos);
   ASSERT_NE(verdict, std::string::npos);
   EXPECT_LT(anomaly, verdict);
@@ -93,19 +96,21 @@ TEST(FabricHealth, HundredZoneTreeFloodTripsTheFloorSurgeFirst) {
   opts.attack_at = sim::minutes(2);
   opts.lite_zones = true;
   const core::FabricRunResult res = core::run_fabric(opts);
+  const std::string health_json = res.merged.health->to_json();
+  const std::string audit_json = res.merged.audit->to_json();
 
   EXPECT_EQ(res.topology, "tree");
   EXPECT_EQ(res.nodes, 1 + 4 + 100);
   EXPECT_GT(res.drop_overflow, 0u);
   EXPECT_EQ(res.causality_violations, 0u);
-  ASSERT_GT(res.health_events, 0u);
-  ASSERT_TRUE(jsonlite::valid(res.health_json)) << res.health_json;
-  EXPECT_NE(res.health_json.find("net.inbox_overflow"), std::string::npos);
-  EXPECT_NE(res.health_json.find("\"surge\""), std::string::npos);
+  ASSERT_GT(res.merged.health->events().size(), 0u);
+  ASSERT_TRUE(jsonlite::valid(health_json)) << health_json;
+  EXPECT_NE(health_json.find("net.inbox_overflow"), std::string::npos);
+  EXPECT_NE(health_json.find("\"surge\""), std::string::npos);
 
   // Detection precedes judgment, same invariant as the 3-zone building.
-  const std::size_t anomaly = res.audit_json.find("health.anomaly");
-  const std::size_t verdict = res.audit_json.find("attack.verdict");
+  const std::size_t anomaly = audit_json.find("health.anomaly");
+  const std::size_t verdict = audit_json.find("attack.verdict");
   ASSERT_NE(anomaly, std::string::npos);
   ASSERT_NE(verdict, std::string::npos);
   EXPECT_LT(anomaly, verdict);
@@ -119,13 +124,15 @@ TEST(FabricHealth, HundredZoneTreeFloodTripsTheFloorSurgeFirst) {
 TEST(FabricHealth, ObservabilityArtifactsReplayByteIdentically) {
   const core::FabricRunResult one = core::run_fabric(flood_building());
   const core::FabricRunResult two = core::run_fabric(flood_building());
-  ASSERT_FALSE(one.series_json.empty());
-  EXPECT_EQ(one.series_json, two.series_json);
-  EXPECT_EQ(one.health_json, two.health_json);
-  EXPECT_EQ(one.flight_json, two.flight_json);
-  EXPECT_EQ(one.health_events, two.health_events);
-  ASSERT_TRUE(jsonlite::valid(one.series_json)) << one.series_json;
-  EXPECT_NE(one.series_json.find("\"schema_version\":"), std::string::npos);
+  const std::string series_json = one.merged.series->to_json();
+  ASSERT_FALSE(series_json.empty());
+  EXPECT_EQ(series_json, two.merged.series->to_json());
+  EXPECT_EQ(one.merged.health->to_json(), two.merged.health->to_json());
+  EXPECT_EQ(one.merged.flight->to_json(), two.merged.flight->to_json());
+  EXPECT_EQ(one.merged.health->events().size(),
+            two.merged.health->events().size());
+  ASSERT_TRUE(jsonlite::valid(series_json)) << series_json;
+  EXPECT_NE(series_json.find("\"schema_version\":"), std::string::npos);
 }
 
 TEST(FabricHealth, TraceOffArmStaysQuiet) {
@@ -134,8 +141,9 @@ TEST(FabricHealth, TraceOffArmStaysQuiet) {
   const core::FabricRunResult res = core::run_fabric(opts);
   // The A/B baseline arm records no health events and keeps no
   // snapshots, so the perf comparison against trace-on stays clean.
-  EXPECT_EQ(res.health_events, 0u);
-  EXPECT_NE(res.flight_json.find("\"snapshots\":[]"), std::string::npos);
+  EXPECT_EQ(res.merged.health->events().size(), 0u);
+  EXPECT_NE(res.merged.flight->to_json().find("\"snapshots\":[]"),
+            std::string::npos);
 }
 
 TEST(CampaignHealth, MergedHealthArtifactsAreJobsInvariant) {
@@ -143,18 +151,18 @@ TEST(CampaignHealth, MergedHealthArtifactsAreJobsInvariant) {
   const core::CampaignResult seq = core::run_campaign(cells, 1);
   const core::CampaignResult par = core::run_campaign(cells, 4);
 
-  ASSERT_FALSE(seq.merged_health_json.empty());
-  EXPECT_EQ(seq.merged_series_json, par.merged_series_json);
-  EXPECT_EQ(seq.merged_health_json, par.merged_health_json);
-  EXPECT_EQ(seq.merged_flight_json, par.merged_flight_json);
+  const std::string series_json = seq.merged.series->to_json();
+  const std::string health_json = seq.merged.health->to_json();
+  ASSERT_FALSE(health_json.empty());
+  EXPECT_EQ(series_json, par.merged.series->to_json());
+  EXPECT_EQ(health_json, par.merged.health->to_json());
+  EXPECT_EQ(seq.merged.flight->to_json(), par.merged.flight->to_json());
   EXPECT_EQ(seq.summary_json(), par.summary_json());
 
   // The merge really carries the building: the flood cell's surge and
   // the benign cells' control-loop series are all present.
-  EXPECT_NE(seq.merged_health_json.find("net.inbox_overflow"),
-            std::string::npos);
-  EXPECT_NE(seq.merged_series_json.find("minix.ctl.jitter"),
-            std::string::npos);
+  EXPECT_NE(health_json.find("net.inbox_overflow"), std::string::npos);
+  EXPECT_NE(series_json.find("minix.ctl.jitter"), std::string::npos);
   EXPECT_NE(seq.summary_json().find("\"health_events\":"),
             std::string::npos);
   EXPECT_NE(seq.summary_json().find("\"schema_version\":"),
@@ -173,10 +181,11 @@ TEST(CampaignHealth, BenignCellSnapshotsControlLoopSeries) {
   const core::CellResult& cell = res.cells[0];
   ASSERT_TRUE(cell.series);
   EXPECT_GT(cell.series->total_samples(), 0u);
-  EXPECT_NE(cell.series_json.find("minix.ctl.jitter@m0"),
+  EXPECT_NE(cell.series->to_json().find("minix.ctl.jitter@m0"),
             std::string::npos);
-  ASSERT_TRUE(jsonlite::valid(cell.health_json)) << cell.health_json;
-  EXPECT_NE(cell.health_json.find("\"scores\""), std::string::npos);
+  const std::string health_json = cell.health->to_json();
+  ASSERT_TRUE(jsonlite::valid(health_json)) << health_json;
+  EXPECT_NE(health_json.find("\"scores\""), std::string::npos);
 }
 
 TEST(CampaignHealth, PoolProfileAttributesEveryCell) {

@@ -51,18 +51,18 @@ TEST(CampaignSpans, SixteenZoneFabricMergeIsJobsInvariant) {
   const core::CampaignResult seq = core::run_campaign(cells, 1);
   const core::CampaignResult par = core::run_campaign(cells, 4);
 
-  ASSERT_FALSE(seq.merged_spans_json.empty());
-  EXPECT_EQ(seq.merged_spans_json, par.merged_spans_json);
-  EXPECT_EQ(seq.merged_audit_json, par.merged_audit_json);
+  const std::string spans_json = seq.merged.spans->to_json();
+  const std::string audit_json = seq.merged.audit->to_json();
+  ASSERT_FALSE(spans_json.empty());
+  EXPECT_EQ(spans_json, par.merged.spans->to_json());
+  EXPECT_EQ(audit_json, par.merged.audit->to_json());
   EXPECT_EQ(seq.summary_json(), par.summary_json());
 
   // The merged store really carries the building: network link hops
   // from the fabric cell and the attack span from the kill cells.
-  EXPECT_NE(seq.merged_spans_json.find("net.link"), std::string::npos);
-  EXPECT_NE(seq.merged_spans_json.find("web.compromised"),
-            std::string::npos);
-  EXPECT_NE(seq.merged_audit_json.find("acm.kill_deny"),
-            std::string::npos);
+  EXPECT_NE(spans_json.find("net.link"), std::string::npos);
+  EXPECT_NE(spans_json.find("web.compromised"), std::string::npos);
+  EXPECT_NE(audit_json.find("acm.kill_deny"), std::string::npos);
 }
 
 }  // namespace

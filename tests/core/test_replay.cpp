@@ -29,7 +29,7 @@ core::RunOptions short_opts(std::uint64_t seed, Exports* out) {
   opts.post = sim::sec(75);
   opts.seed = seed;
   opts.observe = [out](sim::Machine& m) {
-    out->metrics = core::metrics_to_json(m);
+    out->metrics = m.metrics().to_json();
     std::ostringstream os;
     mkbas::obs::write_chrome_trace(os, m.trace());
     out->trace = os.str();

@@ -187,7 +187,7 @@ TEST(FabricRun, ReplaysByteIdenticallyWithLossAndPartitions) {
   EXPECT_EQ(r1.drop_loss, r2.drop_loss);
   EXPECT_EQ(r1.drop_partition, r2.drop_partition);
   EXPECT_EQ(r1.trace_hash, r2.trace_hash);
-  EXPECT_EQ(r1.metrics_json, r2.metrics_json);
+  EXPECT_EQ(r1.merged.metrics->to_json(), r2.merged.metrics->to_json());
 }
 
 TEST(FabricRun, DifferentSeedsDiverge) {
@@ -260,8 +260,9 @@ TEST(FabricRun, CovLatencyHistogramPopulated) {
   EXPECT_GE(r.cov_p99_us, 5000.0);
   EXPECT_LE(r.cov_p99_us, 10000.0);
   // The fabric metrics made it into the merged registry export.
-  EXPECT_NE(r.metrics_json.find("fabric.cov.latency_us"), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("fabric.delivered"), std::string::npos);
+  const std::string metrics_json = r.merged.metrics->to_json();
+  EXPECT_NE(metrics_json.find("fabric.cov.latency_us"), std::string::npos);
+  EXPECT_NE(metrics_json.find("fabric.delivered"), std::string::npos);
 }
 
 // --- the campaign cell: one building per cell, any --jobs ----------------
@@ -278,16 +279,35 @@ TEST(FabricCampaign, SixteenZoneBuildingIdenticalAcrossJobCounts) {
 
   const auto rows = core::fabric_rows(seq);
   ASSERT_EQ(rows.size(), 4u);
-  for (const auto& r : rows) {
-    EXPECT_EQ(r.zones, 16);
-    EXPECT_EQ(r.rows.size(), 16u);
+  for (const core::FabricRunResult* r : rows) {
+    EXPECT_EQ(r->zones, 16);
+    EXPECT_EQ(r->rows.size(), 16u);
   }
   // The spoof cell: every Linux zone falls, every proxied zone holds.
-  const auto& spoof = rows[1];
+  const core::FabricRunResult& spoof = *rows[1];
   ASSERT_EQ(spoof.attack, core::FabricAttack::kSpoofWrite);
   for (const auto& row : spoof.rows) {
     if (static_cast<std::size_t>(row.zone) + 1 == 16u) continue;  // attacker
     EXPECT_EQ(row.attack_delivered, !row.proxied)
         << "zone " << row.zone << " (" << row.label << ")";
   }
+}
+
+TEST(FabricCampaign, TwentyFourZoneVerdictListsEveryZone) {
+  // The summary verdict lists every zone; a fixed-size format buffer
+  // used to cut a 24-zone list off mid-word.
+  core::FabricOptions base;
+  base.duration = sim::minutes(12);
+  base.lite_zones = true;
+  const auto cells = core::fabric_matrix_cells(/*zones=*/24, base);
+  ASSERT_EQ(cells[1].fabric.attack, core::FabricAttack::kSpoofWrite);
+  const std::string summary =
+      core::run_campaign({cells[1]}, /*jobs=*/1).summary_json();
+  const std::size_t at = summary.find("\"verdict\":\"");
+  ASSERT_NE(at, std::string::npos) << summary;
+  const std::size_t end = summary.find('"', at + 11);
+  ASSERT_NE(end, std::string::npos) << summary;
+  const std::string verdict = summary.substr(at + 11, end - at - 11);
+  EXPECT_NE(verdict.find(",23:"), std::string::npos) << verdict;
+  EXPECT_EQ(verdict.back(), ']') << verdict;
 }

@@ -226,10 +226,10 @@ TEST(FabricSync, RunFabricTreeByteIdenticalAcrossModes) {
 
   EXPECT_GT(look.delivered, 0u);
   EXPECT_EQ(look.trace_hash, epoch.trace_hash);
-  EXPECT_EQ(look.metrics_json, epoch.metrics_json);
-  EXPECT_EQ(look.spans_json, epoch.spans_json);
-  EXPECT_EQ(look.audit_json, epoch.audit_json);
-  EXPECT_EQ(look.health_json, epoch.health_json);
+  EXPECT_EQ(look.merged.metrics->to_json(), epoch.merged.metrics->to_json());
+  EXPECT_EQ(look.merged.spans->to_json(), epoch.merged.spans->to_json());
+  EXPECT_EQ(look.merged.audit->to_json(), epoch.merged.audit->to_json());
+  EXPECT_EQ(look.merged.health->to_json(), epoch.merged.health->to_json());
   EXPECT_EQ(look.delivered, epoch.delivered);
   EXPECT_EQ(look.causality_violations, 0u);
   EXPECT_EQ(epoch.causality_violations, 0u);
@@ -407,9 +407,9 @@ TEST(FabricSync, TreeBatchesCovPerTierWithTierHistograms) {
   EXPECT_GT(floor_to_building, 0u);
   EXPECT_LT(floor_to_building, r.floor_covs);
   // Both per-tier latency histograms populated in the merged export.
-  EXPECT_NE(r.metrics_json.find("fabric.cov.zone_to_floor_us"),
+  EXPECT_NE(r.merged.metrics->to_json().find("fabric.cov.zone_to_floor_us"),
             std::string::npos);
-  EXPECT_NE(r.metrics_json.find("fabric.cov.floor_to_building_us"),
+  EXPECT_NE(r.merged.metrics->to_json().find("fabric.cov.floor_to_building_us"),
             std::string::npos);
   EXPECT_EQ(r.causality_violations, 0u);
   EXPECT_EQ(r.topology, "tree");
@@ -453,9 +453,9 @@ TEST(FabricSync, CampusShardsAcrossJobsByteIdentically) {
   EXPECT_GT(seq.delivered, 0u);
   EXPECT_EQ(seq.nodes, 3 + 6 + 12);  // heads + floors + zones
   EXPECT_EQ(seq.trace_hash, par.trace_hash);
-  EXPECT_EQ(seq.metrics_json, par.metrics_json);
-  EXPECT_EQ(seq.spans_json, par.spans_json);
-  EXPECT_EQ(seq.health_json, par.health_json);
+  EXPECT_EQ(seq.merged.metrics->to_json(), par.merged.metrics->to_json());
+  EXPECT_EQ(seq.merged.spans->to_json(), par.merged.spans->to_json());
+  EXPECT_EQ(seq.merged.health->to_json(), par.merged.health->to_json());
   EXPECT_EQ(seq.causality_violations, 0u);
 }
 

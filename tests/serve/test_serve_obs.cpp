@@ -411,13 +411,6 @@ TEST(DaemonObs, BundleBytesAreUnaffectedByTracing) {
     EXPECT_EQ(r.status, 200) << name;
     EXPECT_EQ(r.body, text) << name;
   }
-  // The bundle's Prometheus artifact re-renders the metrics artifact.
-  ASSERT_TRUE(direct.artifacts.count("metrics_prom"));
-  std::string perr;
-  EXPECT_EQ(direct.artifacts.at("metrics_prom"),
-            core::prometheus_from_metrics_json(direct.artifacts.at("metrics"),
-                                               &perr))
-      << perr;
   d.shutdown();
 }
 
